@@ -110,6 +110,10 @@ def load_checkpoint(path: str) -> dict:
             config_raw = json.loads(_read_frame(fh).decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise FileFormatError("checkpoint config frame is not valid JSON") from exc
+        try:
+            config = NetworkConfig.from_dict(config_raw)
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"checkpoint config frame has a mistyped field: {exc}") from exc
         params = _read_named_blobs(fh)
         buffers = _read_named_blobs(fh)
         flag = fh.read(1)
@@ -139,7 +143,7 @@ def load_checkpoint(path: str) -> dict:
             }
             meta = header.get("meta", {})
     return {
-        "config": NetworkConfig.from_dict(config_raw),
+        "config": config,
         "params": params,
         "buffers": buffers,
         "optimizer": optimizer_state,

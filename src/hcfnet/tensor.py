@@ -627,6 +627,8 @@ def tensor_from_bytes(blob: bytes) -> Tensor:
     if len(blob) < need:
         raise FileFormatError("bad tensor blob: truncated header")
     shape = struct.unpack_from(f"<{rank}I", blob, 8)
+    if 0 in shape:
+        raise FileFormatError(f"bad tensor blob: zero extent in shape {shape}")
     count = int(np.prod(shape))
     if len(blob) != need + 8 * count:
         raise FileFormatError("bad tensor blob: payload size mismatch")

@@ -1,10 +1,13 @@
 """Tests for the key=value config parser and the command-line interface."""
 
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
 
+from hcfnet.checkpoint import save_checkpoint
 from hcfnet.cli import main
 from hcfnet.config import configs_from_mapping, load_configs, parse_kv_file
 from hcfnet.data import read_pgm
@@ -218,6 +221,26 @@ class TestCliExitCodes:
         ckpt.write_bytes(b"JUNKJUNKJUNK")
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field,value", [("widths", 8), ("stages", "x")])
+    def test_mistyped_checkpoint_config_is_io_error(self, tmp_path, capsys, field, value):
+        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), build_network(config, seed=0))
+        blob = good.read_bytes()
+        (frame_len,) = struct.unpack_from("<I", blob, 8)
+        raw = json.loads(blob[12 : 12 + frame_len])
+        raw[field] = value
+        frame = json.dumps(raw, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(frame)) + frame + blob[12 + frame_len :])
+        main(["gen-data", "--out", str(tmp_path / "d"), "--n", "1", "--size", "16"])
+        image = next((tmp_path / "d").glob("*.pgm"))
+        capsys.readouterr()
+        args = ["infer", "--ckpt", str(bad), "--image", str(image), "--out-dir", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint config") and "Traceback" not in err
 
     def test_bad_threshold_is_contract_error(self, toy_config, tmp_path, capsys):
         cfg, ckpt = toy_config

@@ -1,10 +1,15 @@
 """Neural-network primitives against naive loop references."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hcfnet import ops
 from hcfnet.errors import ShapeError
+from hcfnet.network import Network, NetworkConfig
 from hcfnet.ops import (
     batch_norm,
     bilinear_resize,
@@ -16,7 +21,8 @@ from hcfnet.ops import (
     softmax,
     unfold_patches,
 )
-from hcfnet.tensor import Tensor, backward, finite_difference_check, mul, tsum
+from hcfnet.tensor import Tensor, backward, finite_difference_check, mul, no_grad, tsum
+from hcfnet.train import infer_image
 
 from reference import (
     batch_norm_train_naive,
@@ -125,6 +131,64 @@ class TestConv2d:
             return tsum(mul(out, Tensor(rand(out.shape, 3))))
 
         assert finite_difference_check(w_head, w) < 1e-4
+
+
+class TestConv2dBands:
+    """The forward gathers whole output rows per band; bands must not show."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("band_rows", [1, 3])
+    def test_banded_matches_naive(self, monkeypatch, stride, padding, dilation, grouped,
+                                  band_rows):
+        rng = np.random.default_rng(stride * 100 + padding * 10 + dilation + grouped)
+        n, c, oh, ow = 2, 4, 7, 5
+        groups = c if grouped else 1
+        span = 2 * dilation + 1
+        h = (oh - 1) * stride + span - 2 * padding
+        w = (ow - 1) * stride + span - 2 * padding
+        x = rng.standard_normal((n, c, h, w))
+        wt = rng.standard_normal((c, c // groups, 3, 3))
+        b = rng.standard_normal(c)
+        # 7 rows split 1+1+...+1 or 3+3+1 (a ragged last band).
+        monkeypatch.setattr(ops, "_BAND_BYTES", band_rows * n * c * 9 * ow * 8)
+        out = conv2d(
+            Tensor(x), Tensor(wt), Tensor(b),
+            stride=stride, padding=padding, dilation=dilation, groups=groups,
+        )
+        assert out.shape == (n, c, oh, ow)
+        ref = conv2d_naive(x, wt, b, stride, padding, dilation, groups)
+        assert np.max(np.abs(out.data - ref)) < 1e-10
+
+    def test_frame_bitwise_equal_to_single_band(self, monkeypatch):
+        # The 16-channel 3x3 convs at 256x256 need 75 MB of columns, so the
+        # production constant splits them into many bands.
+        assert ops._BAND_BYTES < 16 * 9 * 256 * 256 * 8
+        net = Network(NetworkConfig(dropout=0.0), seed=3)
+        image = np.random.default_rng(4).random((256, 256))
+        banded = infer_image(net, image)
+        monkeypatch.setattr(ops, "_BAND_BYTES", sys.maxsize)
+        single = infer_image(net, image)
+        assert banded.tobytes() == single.tobytes()
+
+    def test_no_grad_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((1, 16, 256, 256)))
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)))
+        output = 16 * 256 * 256 * 8
+        padded = 16 * 258 * 258 * 8
+        budget = output + padded + ops._BAND_BYTES + (1 << 20)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 16, 256, 256)
+        assert peak <= budget, f"peak {peak} B exceeds {budget} B"
 
 
 class TestConvTranspose:

@@ -1,5 +1,7 @@
 """Tensor core: construction, autodiff semantics, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -291,6 +293,11 @@ class TestSerialization:
     def test_truncated_payload(self):
         blob = tensor_to_bytes(np.zeros(4))[:-8]
         with pytest.raises(FileFormatError):
+            tensor_from_bytes(blob)
+
+    def test_zero_extent_is_format_error(self):
+        blob = b"HCFT" + struct.pack("<3I", 2, 3, 0)
+        with pytest.raises(FileFormatError, match="zero extent"):
             tensor_from_bytes(blob)
 
 
