@@ -3,146 +3,3 @@
 Everything runs on a float64 numpy autodiff core: tensors, layers, the
 network, losses, metrics, training, checkpointing and the CLI.
 """
-
-from .checkpoint import load_checkpoint, restore_network, save_checkpoint
-from .config import configs_from_mapping, load_configs, parse_kv_file
-from .dasi import DASI, gated_fuse
-from .data import (
-    Sample,
-    SyntheticConfig,
-    generate_dataset,
-    generate_sample,
-    load_dataset,
-    read_pgm,
-    save_dataset,
-    write_pgm,
-)
-from .errors import (
-    ConfigError,
-    ContractError,
-    DomainError,
-    FileFormatError,
-    HcfnetError,
-    ShapeError,
-)
-from .gradcheck import CASES, GRADCHECK_TOL, check_gradients, run_all, run_case
-from .losses import SOFT_IOU_EPS, bce_loss, deep_supervision_loss, soft_iou_loss
-from .mdcr import MDCR, head_split, interleave, interleave_permutation
-from .metrics import iou_metric, niou_metric
-from .network import Network, NetworkConfig, build_network, count_params_macs
-from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, Linear, Module, ModuleList, dropout
-from .ops import (
-    batch_norm,
-    bilinear_resize,
-    channel_conv1d,
-    conv2d,
-    conv_transpose2d,
-    fold_patches,
-    max_pool2d,
-    softmax,
-    unfold_patches,
-)
-from .optim import Adam
-from .ppa import PPA, ChannelAttention, PatchBranch, SpatialAttention, feature_select
-from .tensor import (
-    Parameter,
-    Tensor,
-    backward,
-    create,
-    finite_difference_check,
-    no_grad,
-    set_finite_checks,
-    zero_grads,
-)
-from .train import (
-    TrainConfig,
-    TrainResult,
-    evaluate,
-    infer_image,
-    load_training_samples,
-    predict_probs,
-    train,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Adam",
-    "BatchNorm2d",
-    "CASES",
-    "ConfigError",
-    "ContractError",
-    "Conv2d",
-    "ConvTranspose2d",
-    "DASI",
-    "DomainError",
-    "FileFormatError",
-    "GRADCHECK_TOL",
-    "HcfnetError",
-    "Linear",
-    "MDCR",
-    "Module",
-    "ModuleList",
-    "Network",
-    "NetworkConfig",
-    "PPA",
-    "Parameter",
-    "PatchBranch",
-    "ChannelAttention",
-    "Sample",
-    "ShapeError",
-    "SOFT_IOU_EPS",
-    "SpatialAttention",
-    "SyntheticConfig",
-    "Tensor",
-    "TrainConfig",
-    "TrainResult",
-    "backward",
-    "batch_norm",
-    "bce_loss",
-    "bilinear_resize",
-    "build_network",
-    "channel_conv1d",
-    "check_gradients",
-    "configs_from_mapping",
-    "conv2d",
-    "conv_transpose2d",
-    "count_params_macs",
-    "create",
-    "deep_supervision_loss",
-    "dropout",
-    "evaluate",
-    "feature_select",
-    "finite_difference_check",
-    "fold_patches",
-    "gated_fuse",
-    "generate_dataset",
-    "generate_sample",
-    "head_split",
-    "infer_image",
-    "interleave",
-    "interleave_permutation",
-    "iou_metric",
-    "load_checkpoint",
-    "load_configs",
-    "load_dataset",
-    "load_training_samples",
-    "max_pool2d",
-    "niou_metric",
-    "no_grad",
-    "parse_kv_file",
-    "predict_probs",
-    "read_pgm",
-    "restore_network",
-    "run_all",
-    "run_case",
-    "save_checkpoint",
-    "save_dataset",
-    "set_finite_checks",
-    "soft_iou_loss",
-    "softmax",
-    "train",
-    "unfold_patches",
-    "write_pgm",
-    "zero_grads",
-]

@@ -49,6 +49,20 @@ def _read_frame(fh: BinaryIO) -> bytes:
     return payload
 
 
+def _read_text(fh: BinaryIO, what: str) -> str:
+    try:
+        return _read_frame(fh).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"checkpoint {what} is not valid UTF-8") from exc
+
+
+def _read_json(fh: BinaryIO, what: str):
+    try:
+        return json.loads(_read_text(fh, what))
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"checkpoint {what} is not valid JSON") from exc
+
+
 def _read_named_blobs(fh: BinaryIO) -> dict[str, np.ndarray]:
     header = fh.read(4)
     if len(header) != 4:
@@ -56,7 +70,7 @@ def _read_named_blobs(fh: BinaryIO) -> dict[str, np.ndarray]:
     (count,) = struct.unpack("<I", header)
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = _read_frame(fh).decode("utf-8")
+        name = _read_text(fh, "blob name")
         out[name] = tensor_from_bytes(_read_frame(fh)).data
     return out
 
@@ -106,10 +120,7 @@ def load_checkpoint(path: str) -> dict:
         (version,) = struct.unpack("<I", version_raw)
         if version != _VERSION:
             raise FileFormatError(f"unsupported checkpoint version {version}")
-        try:
-            config_raw = json.loads(_read_frame(fh).decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FileFormatError("checkpoint config frame is not valid JSON") from exc
+        config_raw = _read_json(fh, "config frame")
         try:
             config = NetworkConfig.from_dict(config_raw)
         except (TypeError, ValueError) as exc:
@@ -119,20 +130,28 @@ def load_checkpoint(path: str) -> dict:
         flag = fh.read(1)
         if len(flag) != 1:
             raise FileFormatError("checkpoint truncated before optimizer flag")
+        if flag[0] not in (0, 1):
+            raise FileFormatError(f"checkpoint optimizer flag is {flag[0]}, expected 0 or 1")
         optimizer_state = None
         meta: dict = {}
         if flag[0] == 1:
-            try:
-                header = json.loads(_read_frame(fh).decode("utf-8"))
-            except json.JSONDecodeError as exc:
-                raise FileFormatError("optimizer frame is not valid JSON") from exc
+            header = _read_json(fh, "optimizer frame")
+            if not (
+                isinstance(header, dict)
+                and type(header.get("step")) is int
+                and isinstance(header.get("hyper", {}), dict)
+                and isinstance(header.get("meta", {}), dict)
+            ):
+                raise FileFormatError(
+                    "checkpoint optimizer frame needs an integer step and object hyper/meta"
+                )
             count_raw = fh.read(4)
             if len(count_raw) != 4:
                 raise FileFormatError("checkpoint truncated in optimizer table")
             (count,) = struct.unpack("<I", count_raw)
             moments = {}
             for _ in range(count):
-                name = _read_frame(fh).decode("utf-8")
+                name = _read_text(fh, "moment name")
                 m = tensor_from_bytes(_read_frame(fh)).data
                 v = tensor_from_bytes(_read_frame(fh)).data
                 moments[name] = (m, v)
@@ -142,6 +161,8 @@ def load_checkpoint(path: str) -> dict:
                 "moments": moments,
             }
             meta = header.get("meta", {})
+        if fh.read(1):
+            raise FileFormatError("checkpoint has trailing bytes after its last section")
     return {
         "config": config,
         "params": params,

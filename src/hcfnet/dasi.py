@@ -1,11 +1,14 @@
 """Dimension-aware selective integration block (DASI).
 
 Aligns the shallower (fine) and deeper (context) streams to the current
-feature's channels and resolution, then gates between them channel-partition
-by channel-partition: alpha = sigmoid(current) picks the fine stream where it
-is high and the context stream where it is low.  A 3x3 convolution, batch
-norm and ReLU finish the block.  When a neighboring stream does not exist at
-a boundary stage, the current feature stands in for it.
+feature's channels and resolution, then gates between them: alpha =
+sigmoid(current) picks the fine stream where it is high and the context
+stream where it is low.  The paper gates each of four channel partitions
+separately; the blend alpha*fine + (1-alpha)*context is elementwise, so one
+pass over the whole tensor computes the same values bit for bit.  A 3x3
+convolution, batch norm and ReLU finish the block.  When a neighboring
+stream does not exist at a boundary stage, the current feature stands in for
+it.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ import numpy as np
 from .errors import ConfigError, ContractError, ShapeError
 from .nn import BatchNorm2d, Conv2d, Module
 from .ops import bilinear_resize
-from .tensor import Tensor, add, concat, mul, narrow, relu, sigmoid, sub
+from .tensor import Tensor, add, mul, relu, sigmoid, sub
 
 __all__ = ["DASI", "gated_fuse"]
 
 
 def gated_fuse(current: Tensor, fine: Tensor, context: Tensor) -> Tensor:
     """Convex per-element blend of fine and context streams, gated by the
-    current feature, computed over four channel partitions."""
+    current feature; channels must split into the paper's four partitions."""
     if not current.shape == fine.shape == context.shape:
         raise ShapeError(
             f"gated_fuse needs matching shapes, got {current.shape}, "
@@ -31,15 +34,8 @@ def gated_fuse(current: Tensor, fine: Tensor, context: Tensor) -> Tensor:
     channels = current.shape[1]
     if channels % 4:
         raise ConfigError(f"gated_fuse needs channels divisible by 4, got {channels}")
-    quarter = channels // 4
-    parts = []
-    for i in range(4):
-        u = narrow(current, 1, i * quarter, quarter)
-        f = narrow(fine, 1, i * quarter, quarter)
-        c = narrow(context, 1, i * quarter, quarter)
-        alpha = sigmoid(u)
-        parts.append(add(mul(alpha, f), mul(sub(1.0, alpha), c)))
-    return concat(parts, 1)
+    alpha = sigmoid(current)
+    return add(mul(alpha, fine), mul(sub(1.0, alpha), context))
 
 
 class DASI(Module):

@@ -23,7 +23,6 @@ __all__ = [
     "bilinear_resize",
     "softmax",
     "unfold_patches",
-    "fold_patches",
     "batch_norm",
     "channel_conv1d",
 ]
@@ -323,33 +322,6 @@ def unfold_patches(x: Tensor, patch: int) -> Tensor:
         return (np.ascontiguousarray(dx),)
 
     return record("unfold_patches", (x,), np.ascontiguousarray(out), bw)
-
-
-def fold_patches(x: Tensor, patch: int, out_h: int, out_w: int) -> Tensor:
-    """Inverse of ``unfold_patches``: [N,C,p*p,d] back to [N,C,out_h,out_w]."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"fold_patches expects rank 4, got {x.shape}")
-    n, c, pp, d = x.shape
-    gh, gw = out_h // patch, out_w // patch
-    if patch < 1 or pp != patch * patch or out_h % patch or out_w % patch or gh * gw != d:
-        raise ShapeError(
-            f"fold_patches: {x.shape} does not fold to {out_h}x{out_w} with patch {patch}"
-        )
-    out = (
-        x.data.reshape(n, c, patch, patch, gh, gw)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, c, out_h, out_w)
-    )
-
-    def bw(gout):
-        dx = (
-            gout.reshape(n, c, gh, patch, gw, patch)
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(n, c, pp, d)
-        )
-        return (np.ascontiguousarray(dx),)
-
-    return record("fold_patches", (x,), np.ascontiguousarray(out), bw)
 
 
 def batch_norm(

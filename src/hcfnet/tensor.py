@@ -20,16 +20,6 @@ from .errors import ContractError, DomainError, FileFormatError, ShapeError
 
 MAX_RANK = 4
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle NaN/Inf screening of operation outputs; returns previous value."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return previous
-
 
 def _as_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -46,7 +36,7 @@ def _check_shape(shape: tuple[int, ...]) -> None:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _FINITE_CHECKS and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ContractError(f"non-finite values produced by '{op}'")
 
 
@@ -63,7 +53,7 @@ class Tensor:
     def __init__(self, values, requires_grad: bool = False):
         arr = _as_array(values)
         _check_shape(arr.shape)
-        if _FINITE_CHECKS and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise DomainError("tensor values must be finite")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -82,9 +72,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single element, got {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -118,34 +105,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    # convenience method forms ----------------------------------------------
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def softplus(self):
-        return softplus(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis, keepdims)
-
-    def amax(self, axis: int, keepdims: bool = False):
-        return amax(self, axis, keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 class Parameter(Tensor):
@@ -259,49 +218,6 @@ def backward(loss: Tensor) -> None:
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.grad = None
-
-
-# --- creation -------------------------------------------------------------
-
-
-def create(
-    shape,
-    init: str = "zeros",
-    *,
-    seed: int | None = None,
-    value: float = 0.0,
-    low: float = 0.0,
-    high: float = 1.0,
-    requires_grad: bool = False,
-) -> Tensor:
-    """Build a tensor from a named initialization scheme.
-
-    ``init`` is one of ``zeros``, ``ones``, ``constant`` (uses ``value``),
-    ``uniform`` (uses ``low``/``high``) or ``kaiming``; the random inits
-    require ``seed`` and are bitwise reproducible for a fixed seed.  The
-    kaiming fan-in is the product of all extents after the first.
-    """
-    shape = tuple(int(e) for e in shape)
-    _check_shape(shape)
-    if init == "zeros":
-        data = np.zeros(shape)
-    elif init == "ones":
-        data = np.ones(shape)
-    elif init == "constant":
-        data = np.full(shape, float(value))
-    elif init in ("uniform", "kaiming"):
-        if seed is None:
-            raise ContractError(f"init '{init}' requires a seed")
-        rng = np.random.default_rng(seed)
-        if init == "uniform":
-            data = rng.uniform(low, high, shape)
-        else:
-            fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
-            bound = np.sqrt(6.0 / fan_in)
-            data = rng.uniform(-bound, bound, shape)
-    else:
-        raise ContractError(f"unknown init '{init}'")
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _wrap(value) -> Tensor:
@@ -635,43 +551,3 @@ def tensor_from_bytes(blob: bytes) -> Tensor:
     data = np.frombuffer(blob, dtype="<f8", count=count, offset=need)
     return Tensor(data.reshape(shape).astype(np.float64))
 
-
-# --- finite differences -----------------------------------------------------
-
-
-def finite_difference_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    eps: float = 1e-5,
-    coords: Sequence[int] | None = None,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``f`` must map a tensor to a scalar tensor.  The relative error at each
-    checked coordinate is |a - n| / (|a| + |n| + 1e-12).
-    """
-    if not 1e-6 <= eps <= 1e-3:
-        raise ContractError(f"eps must lie in [1e-6, 1e-3], got {eps}")
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    if out.data.size != 1:
-        raise ContractError("finite_difference_check requires a scalar function")
-    backward(out)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-    if coords is None:
-        coords = range(probe.size)
-    worst = 0.0
-    flat = probe.data.reshape(-1)
-    with no_grad():
-        for c in coords:
-            saved = flat[c]
-            flat[c] = saved + eps
-            upper = f(probe).item()
-            flat[c] = saved - eps
-            lower = f(probe).item()
-            flat[c] = saved
-            numeric = (upper - lower) / (2.0 * eps)
-            a = float(analytic.reshape(-1)[c])
-            err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -101,6 +101,22 @@ def softmax_naive(x, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def fold_patches_naive(u, patch, out_h, out_w):
+    """Inverse of the patch unfold: u[n, c, a*p + b, i*gw + j] is cell (a, b)
+    of the patch at grid position (i, j), i.e. x[n, c, i*p + a, j*p + b]."""
+    n, c = u.shape[:2]
+    gw = out_w // patch
+    out = np.zeros((n, c, out_h, out_w))
+    for ni in range(n):
+        for ci in range(c):
+            for y in range(out_h):
+                for x in range(out_w):
+                    i, a = divmod(y, patch)
+                    j, b = divmod(x, patch)
+                    out[ni, ci, y, x] = u[ni, ci, a * patch + b, i * gw + j]
+    return out
+
+
 def batch_norm_train_naive(x, gamma, beta, eps=1e-5):
     """Per-channel batch statistics over (N, H, W), biased variance."""
     out = np.zeros_like(x)

@@ -7,12 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from hcfnet.checkpoint import save_checkpoint
+from hcfnet.checkpoint import load_checkpoint, save_checkpoint
 from hcfnet.cli import main
 from hcfnet.config import configs_from_mapping, load_configs, parse_kv_file
 from hcfnet.data import read_pgm
 from hcfnet.errors import ConfigError, FileFormatError
 from hcfnet.network import NetworkConfig, build_network
+from hcfnet.optim import Adam
 
 
 class TestKvParser:
@@ -241,6 +242,53 @@ class TestCliExitCodes:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint config") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "config_utf8",
+            "blob_name_utf8",
+            "moment_name_utf8",
+            "trailing_bytes",
+            "missing_step",
+            "bad_optimizer_flag",
+        ],
+    )
+    def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, case):
+        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        network = build_network(config, seed=0)
+        state = Adam(list(network.named_parameters())).state_dict()
+        bare, full = tmp_path / "bare.ckpt", tmp_path / "full.ckpt"
+        save_checkpoint(str(bare), network)
+        save_checkpoint(str(full), network, optimizer_state=state, meta={"epoch": 1})
+        flag_at = len(bare.read_bytes()) - 1  # the sections before the flag match
+        blob = bytearray(full.read_bytes())
+        (config_len,) = struct.unpack_from("<I", blob, 8)
+        (header_len,) = struct.unpack_from("<I", blob, flag_at + 1)
+        header_at = flag_at + 5
+        if case == "config_utf8":
+            blob[12] = 0xFF
+        elif case == "blob_name_utf8":
+            blob[12 + config_len + 8] = 0xFF  # after the table count and name length
+        elif case == "moment_name_utf8":
+            blob[header_at + header_len + 8] = 0xFF
+        elif case == "trailing_bytes":
+            blob += b"junk"
+        elif case == "missing_step":
+            header = json.loads(blob[header_at : header_at + header_len])
+            del header["step"]
+            frame = json.dumps(header, sort_keys=True).encode("utf-8")
+            tail = blob[header_at + header_len :]
+            blob = blob[: flag_at + 1] + struct.pack("<I", len(frame)) + frame + tail
+        else:
+            blob[flag_at] = 2
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError):
+            load_checkpoint(str(bad))
+        assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and "Traceback" not in err
 
     def test_bad_threshold_is_contract_error(self, toy_config, tmp_path, capsys):
         cfg, ckpt = toy_config

@@ -1,5 +1,5 @@
-"""Tests for the DASI block: the partitioned sigmoid gate and the aligned
-three-stream fusion."""
+"""Tests for the DASI block: the sigmoid gate, bitwise equal to the paper's
+partition-wise form, and the aligned three-stream fusion."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,19 @@ from hypothesis import strategies as st
 from hcfnet.dasi import DASI, gated_fuse
 from hcfnet.errors import ConfigError, ContractError, ShapeError
 from hcfnet.gradcheck import run_case
-from hcfnet.tensor import Tensor, backward, tsum
+from hcfnet.tensor import (
+    Tensor,
+    add,
+    backward,
+    clear_tape,
+    concat,
+    mul,
+    narrow,
+    sigmoid,
+    sub,
+    tape_length,
+    tsum,
+)
 
 from reference import dasi_naive, gated_fuse_naive
 
@@ -21,6 +33,35 @@ def rng(seed):
 def random_triplet(seed, shape=(2, 8, 4, 4)):
     g = rng(seed)
     return tuple(g.normal(size=shape) for _ in range(3))
+
+
+def partitioned_gated_fuse(current, fine, context):
+    """The paper's form on the tape: gate each of four channel partitions
+    separately, then concatenate them."""
+    quarter = current.shape[1] // 4
+    parts = []
+    for i in range(4):
+        u = narrow(current, 1, i * quarter, quarter)
+        f = narrow(fine, 1, i * quarter, quarter)
+        c = narrow(context, 1, i * quarter, quarter)
+        alpha = sigmoid(u)
+        parts.append(add(mul(alpha, f), mul(sub(1.0, alpha), c)))
+    return concat(parts, 1)
+
+
+def fuse_and_grads(fuse, u, l, h, alias):
+    """Forward output and input gradients of a weighted sum of ``fuse``.
+
+    ``alias`` names the streams that are the current tensor itself, as at the
+    boundary stages of the network."""
+    current = Tensor(u, requires_grad=True)
+    fine = current if "fine" in alias else Tensor(l, requires_grad=True)
+    context = current if "context" in alias else Tensor(h, requires_grad=True)
+    field = Tensor(rng(99).normal(size=u.shape))
+    out = fuse(current, fine, context)
+    backward(tsum(mul(out, field)))
+    grads = [t.grad for t in {id(t): t for t in (current, fine, context)}.values()]
+    return out.data, grads
 
 
 class TestGatedFuse:
@@ -81,6 +122,23 @@ class TestGatedFuse:
         np.testing.assert_allclose(lt.grad, alpha, atol=1e-12)
         np.testing.assert_allclose(ht.grad, 1.0 - alpha, atol=1e-12)
         np.testing.assert_array_equal(lt.grad > ht.grad, alpha > 0.5)
+
+    @pytest.mark.parametrize("alias", [(), ("fine",), ("context",), ("fine", "context")])
+    def test_bitwise_equal_to_partitioned_form(self, alias):
+        u, l, h = random_triplet(7, shape=(2, 12, 5, 3))
+        out, grads = fuse_and_grads(gated_fuse, u, l, h, alias)
+        ref_out, ref_grads = fuse_and_grads(partitioned_gated_fuse, u, l, h, alias)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == len(ref_grads) == 3 - len(alias)
+        for grad, ref in zip(grads, ref_grads):
+            assert np.array_equal(grad, ref)
+
+    def test_records_five_tape_nodes(self):
+        u, l, h = random_triplet(8)
+        clear_tape()
+        gated_fuse(*(Tensor(a, requires_grad=True) for a in (u, l, h)))
+        assert tape_length() == 5
+        clear_tape()
 
     def test_shape_mismatch_rejected(self):
         u = Tensor(np.zeros((1, 8, 4, 4)))

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hcfnet.errors import ContractError, DomainError, FileFormatError, ShapeError
+from hcfnet.nn import kaiming_uniform
 from hcfnet.tensor import (
     Parameter,
     Tensor,
@@ -15,9 +16,7 @@ from hcfnet.tensor import (
     amax,
     backward,
     concat,
-    create,
     div,
-    finite_difference_check,
     matmul,
     mul,
     narrow,
@@ -26,7 +25,6 @@ from hcfnet.tensor import (
     permute_channels,
     relu,
     reshape,
-    set_finite_checks,
     sigmoid,
     softplus,
     sqrt,
@@ -40,6 +38,8 @@ from hcfnet.tensor import (
     zero_grads,
 )
 
+from finite_difference import finite_difference_check
+
 small_arrays = hnp.arrays(
     np.float64,
     hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=6),
@@ -48,48 +48,22 @@ small_arrays = hnp.arrays(
 
 
 class TestCreate:
-    def test_zeros(self):
-        assert np.array_equal(create((2, 2), "zeros").data, np.zeros((2, 2)))
-
-    def test_constant(self):
-        assert np.array_equal(create((3,), "constant", value=1.5).data, [1.5, 1.5, 1.5])
-
-    def test_ones(self):
-        assert np.array_equal(create((2, 3), "ones").data, np.ones((2, 3)))
-
-    def test_uniform_reproducible(self):
-        a = create((4,), "uniform", seed=7, low=0.0, high=1.0)
-        b = create((4,), "uniform", seed=7, low=0.0, high=1.0)
-        assert a.data.tobytes() == b.data.tobytes()
-
     def test_kaiming_bound(self):
-        t = create((8, 4, 3, 3), "kaiming", seed=0)
+        w = kaiming_uniform(np.random.default_rng(0), (8, 4, 3, 3))
         bound = np.sqrt(6.0 / (4 * 3 * 3))
-        assert np.all(np.abs(t.data) <= bound)
+        assert np.all(np.abs(w) <= bound)
 
     def test_zero_extent_rejected(self):
         with pytest.raises(ShapeError):
-            create((0, 2), "zeros")
+            Tensor(np.zeros((0, 2)))
 
     def test_rank_limit(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((1, 1, 1, 1, 1)))
 
-    def test_random_init_needs_seed(self):
-        with pytest.raises(ContractError):
-            create((2,), "uniform")
-
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             Tensor(np.array([1.0, np.nan]))
-
-    def test_finite_checks_toggle(self):
-        set_finite_checks(False)
-        try:
-            t = Tensor(np.array([np.inf]))
-            assert np.isinf(t.data[0])
-        finally:
-            set_finite_checks(True)
 
 
 class TestElementwise:
@@ -119,6 +93,10 @@ class TestElementwise:
     def test_div_by_tensor(self):
         out = div(Tensor([8.0, 9.0]), Tensor([2.0, 3.0]))
         assert np.array_equal(out.data, [4.0, 3.0])
+
+    def test_non_finite_output_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ContractError, match="'mul'"):
+            mul(Tensor([1e200]), Tensor([1e200]))
 
 
 class TestBackward:
@@ -308,7 +286,9 @@ class TestParameter:
 
     def test_determinism_same_sequence(self):
         def run():
-            x = create((3, 3), "uniform", seed=11, low=-1, high=1, requires_grad=True)
+            x = Tensor(
+                np.random.default_rng(11).uniform(-1, 1, (3, 3)), requires_grad=True
+            )
             y = tsum(sigmoid(mul(x, x)))
             backward(y)
             return x.grad.tobytes()
