@@ -16,8 +16,9 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import ConfigError, FileFormatError
 from .network import Network, NetworkConfig
+from .optim import check_hyper
 from .tensor import tensor_from_bytes, tensor_to_bytes
 
 __all__ = ["save_checkpoint", "load_checkpoint", "restore_network"]
@@ -145,6 +146,16 @@ def load_checkpoint(path: str) -> dict:
                 raise FileFormatError(
                     "checkpoint optimizer frame needs an integer step and object hyper/meta"
                 )
+            try:
+                check_hyper(header.get("hyper", {}))
+            except ConfigError as exc:
+                raise FileFormatError(f"checkpoint optimizer frame: {exc}") from exc
+            meta = header.get("meta", {})
+            for key in ("epoch", "seed"):
+                if key in meta and not (type(meta[key]) is int and meta[key] >= 0):
+                    raise FileFormatError(
+                        f"checkpoint meta {key} must be a non-negative integer, got {meta[key]!r}"
+                    )
             count_raw = fh.read(4)
             if len(count_raw) != 4:
                 raise FileFormatError("checkpoint truncated in optimizer table")
@@ -160,7 +171,6 @@ def load_checkpoint(path: str) -> dict:
                 "hyper": header.get("hyper", {}),
                 "moments": moments,
             }
-            meta = header.get("meta", {})
         if fh.read(1):
             raise FileFormatError("checkpoint has trailing bytes after its last section")
     return {

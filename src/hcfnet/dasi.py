@@ -83,11 +83,3 @@ class DASI(Module):
         return relu(self.bn(self.fuse(fused), train))
 
     __call__ = forward
-
-    def macs(self, h: int, w: int) -> int:
-        total = self.fuse.macs(h, w) + self.bn.macs(h, w)
-        if self.align_fine is not None:
-            total += self.align_fine.macs(2 * h, 2 * w)  # fine stream enters at 2x res
-        if self.align_context is not None:
-            total += self.align_context.macs(h // 2, w // 2)
-        return total

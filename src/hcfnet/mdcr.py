@@ -84,8 +84,3 @@ class MDCR(Module):
         return relu(self.bn(refined, train))
 
     __call__ = forward
-
-    def macs(self, h: int, w: int) -> int:
-        total = sum(conv.macs(h, w) for conv in self.heads)
-        total += self.inner.macs(h, w) + self.outer.macs(h, w) + self.bn.macs(h, w)
-        return total

@@ -20,7 +20,7 @@ from .mdcr import MDCR
 from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, Module, ModuleList
 from .ops import bilinear_resize, max_pool2d
 from .ppa import PPA
-from .tensor import Tensor, concat, relu
+from .tensor import Tensor, concat, no_grad, observe, relu
 
 __all__ = ["NetworkConfig", "Network", "DoubleConv", "build_network", "count_params_macs"]
 
@@ -97,14 +97,6 @@ class DoubleConv(Module):
         return relu(self.bn2(self.conv2(x), train))
 
     __call__ = forward
-
-    def macs(self, h: int, w: int) -> int:
-        return (
-            self.conv1.macs(h, w)
-            + self.bn1.macs(h, w)
-            + self.conv2.macs(h, w)
-            + self.bn2.macs(h, w)
-        )
 
 
 class Network(Module):
@@ -202,39 +194,6 @@ class Network(Module):
 
     __call__ = forward
 
-    def layer_report(self, height: int, width: int) -> list[tuple[str, int, int]]:
-        """Per-component (name, parameter count, multiply-accumulate count)
-        rows for one sample at the given input resolution.
-
-        Convolutions, linear maps and batch norms are counted; pooling,
-        resampling, activations and elementwise gates are not.
-        """
-        factor = 1 << (self.config.stages - 1)
-        if height % factor or width % factor:
-            raise ShapeError(f"{height}x{width} must be divisible by {factor}")
-        stages = self.config.stages
-        res = [(height >> s, width >> s) for s in range(stages)]
-        rows: list[tuple[str, int, int]] = []
-        for s in range(stages):
-            block = self.encoders[s]
-            rows.append((f"encoder{s}", block.param_count(), block.macs(*res[s])))
-        if self.bottleneck is not None:
-            rows.append(
-                ("bottleneck", self.bottleneck.param_count(), self.bottleneck.macs(*res[-1]))
-            )
-        for s in range(stages - 1):
-            up = self.ups[s]
-            rows.append((f"up{s}", up.param_count(), up.macs(*res[s])))
-            if self.fusers is not None:
-                fuser = self.fusers[s]
-                rows.append((f"skip_fuse{s}", fuser.param_count(), fuser.macs(*res[s])))
-            block = self.decoders[s]
-            rows.append((f"decoder{s}", block.param_count(), block.macs(*res[s])))
-        for s in range(stages):
-            head = self.heads[s]
-            rows.append((f"head{s}", head.param_count(), head.macs(*res[s])))
-        return rows
-
 
 def build_network(config: NetworkConfig, seed: int) -> Network:
     """Construct a network with weights drawn deterministically from ``seed``."""
@@ -244,8 +203,45 @@ def build_network(config: NetworkConfig, seed: int) -> Network:
 def count_params_macs(
     network: Network, height: int, width: int
 ) -> tuple[int, int, list[tuple[str, int, int]]]:
-    """Total trainable parameters and per-sample MACs at one resolution."""
-    rows = network.layer_report(height, width)
-    params = network.param_count()
-    macs = sum(row[2] for row in rows)
-    return params, macs, rows
+    """Total trainable parameters and per-sample MACs at one resolution,
+    with one (name, parameter count, MACs) row per component.
+
+    MACs are counted over one batch-1 eval-mode probe forward: every conv,
+    transposed conv, matmul, channel conv or batch-norm scale that consumes a
+    parameter (or a reshape of one) is charged to the component owning it.
+    Pooling, resampling, activations, bias adds and gates count nothing.
+    """
+    stages = network.config.stages
+    components = [(f"encoder{s}", network.encoders[s]) for s in range(stages)]
+    if network.bottleneck is not None:
+        components.append(("bottleneck", network.bottleneck))
+    for s in range(stages - 1):
+        components.append((f"up{s}", network.ups[s]))
+        if network.fusers is not None:
+            components.append((f"skip_fuse{s}", network.fusers[s]))
+        components.append((f"decoder{s}", network.decoders[s]))
+    components += [(f"head{s}", network.heads[s]) for s in range(stages)]
+    # id -> (component index, tensor); holding the tensor keeps its id unique
+    owner = {id(p): (i, p) for i, (_, m) in enumerate(components) for p in m.parameters()}
+    macs = [0] * len(components)
+
+    def count(op: str, inputs, out: Tensor) -> None:
+        owners = [owner[id(t)][0] for t in inputs if id(t) in owner]
+        if not owners:
+            return
+        if op == "reshape":
+            owner[id(out)] = (owners[0], out)
+        elif op in ("conv2d", "conv_transpose2d"):
+            macs[owners[0]] += (out if op == "conv2d" else inputs[0]).size * inputs[1].data[0].size
+        elif op == "matmul":
+            macs[owners[0]] += out.size * inputs[0].shape[-1]
+        elif op == "channel_conv1d":
+            macs[owners[0]] += out.size * inputs[1].size
+        elif op == "mul":
+            macs[owners[0]] += out.size
+
+    probe = Tensor(np.zeros((1, network.config.in_channels, height, width)))
+    with no_grad(), observe(count):
+        network(probe)
+    rows = [(name, m.param_count(), n) for (name, m), n in zip(components, macs)]
+    return network.param_count(), sum(macs), rows

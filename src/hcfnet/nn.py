@@ -150,10 +150,6 @@ class Conv2d(Module):
 
     __call__ = forward
 
-    def macs(self, out_h: int, out_w: int) -> int:
-        out_c, c_per_g, kh, kw = self.weight.shape
-        return out_h * out_w * out_c * c_per_g * kh * kw
-
 
 class ConvTranspose2d(Module):
     """Fixed 2x2, stride-2 transposed convolution (learned upsampler)."""
@@ -168,16 +164,10 @@ class ConvTranspose2d(Module):
 
     __call__ = forward
 
-    def macs(self, out_h: int, out_w: int) -> int:
-        in_c, out_c = self.weight.shape[:2]
-        # each output pixel receives exactly one tap per input channel
-        return out_h * out_w * out_c * in_c
-
 
 class BatchNorm2d(Module):
     def __init__(self, channels: int, *, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
-        self.channels = channels
         self.momentum = momentum
         self.eps = eps
         self.gamma = Parameter(np.ones(channels))
@@ -198,9 +188,6 @@ class BatchNorm2d(Module):
         )
 
     __call__ = forward
-
-    def macs(self, out_h: int, out_w: int) -> int:
-        return out_h * out_w * self.channels
 
 
 class Linear(Module):

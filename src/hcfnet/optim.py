@@ -6,12 +6,28 @@ and restored against a freshly built network.
 
 from __future__ import annotations
 
+import sys
+from numbers import Real
+
 import numpy as np
 
 from .errors import ConfigError, ContractError
 from .tensor import Parameter
 
-__all__ = ["Adam"]
+__all__ = ["Adam", "check_hyper"]
+
+
+def check_hyper(hyper: dict) -> None:
+    """Raise ``ConfigError`` unless each entry is a known Adam hyperparameter
+    holding a finite real number in range: lr and eps positive, betas in [0, 1)."""
+    for name, value in hyper.items():
+        if name not in ("lr", "beta1", "beta2", "eps"):
+            raise ConfigError(f"unknown Adam hyperparameter '{name}'")
+        real = isinstance(value, Real) and not isinstance(value, bool)
+        if not (real and abs(value) <= sys.float_info.max):  # false for NaN and inf
+            raise ConfigError(f"Adam {name} must be a finite real number, got {value!r}")
+        if not (0 <= value < 1 if name.startswith("beta") else value > 0):
+            raise ConfigError(f"Adam {name} out of range: {value}")
 
 
 class Adam:
@@ -23,12 +39,7 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
-        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-            raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
+        check_hyper({"lr": lr, "beta1": beta1, "beta2": beta2, "eps": eps})
         self.items = list(named_params)
         if len({name for name, _ in self.items}) != len(self.items):
             raise ConfigError("duplicate parameter names passed to Adam")
@@ -74,6 +85,7 @@ class Adam:
             raise ContractError("optimizer state does not match the parameter set")
         self.step_count = int(state["step"])
         hyper = state.get("hyper", {})
+        check_hyper(hyper)
         self.lr = float(hyper.get("lr", self.lr))
         self.beta1 = float(hyper.get("beta1", self.beta1))
         self.beta2 = float(hyper.get("beta2", self.beta2))

@@ -113,14 +113,6 @@ class PatchBranch(Module):
 
     __call__ = forward
 
-    def macs(self, h: int, w: int, channels: int) -> int:
-        p = self.patch
-        cells = p * p
-        grid = ((h + (-h) % p) // p) * ((w + (-w) % p) // p)
-        ffn = grid * (cells * 2 * cells + 2 * cells * cells)
-        select = grid * channels + grid * channels * channels
-        return ffn + select
-
 
 class ChannelAttention(Module):
     """ECA-style gate: pooled descriptor, 1-D conv across channels, sigmoid."""
@@ -137,9 +129,6 @@ class ChannelAttention(Module):
 
     __call__ = forward
 
-    def macs(self, channels: int) -> int:
-        return channels * self.weight.size
-
 
 class SpatialAttention(Module):
     """Gate from channel mean and max maps through a 7x7 convolution."""
@@ -153,9 +142,6 @@ class SpatialAttention(Module):
         return mul(x, sigmoid(self.conv(stats)))
 
     __call__ = forward
-
-    def macs(self, h: int, w: int) -> int:
-        return self.conv.macs(h, w)
 
 
 class PPA(Module):
@@ -200,12 +186,3 @@ class PPA(Module):
         return relu(self.bn(regularized, train))
 
     __call__ = forward
-
-    def macs(self, h: int, w: int) -> int:
-        channels = self.bn.channels
-        total = self.proj.macs(h, w)
-        total += self.local.macs(h, w, channels) + self.wide.macs(h, w, channels)
-        total += self.conv1.macs(h, w) + self.conv2.macs(h, w) + self.conv3.macs(h, w)
-        total += self.channel_att.macs(channels) + self.spatial_att.macs(h, w)
-        total += self.bn.macs(h, w)
-        return total

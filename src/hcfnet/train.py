@@ -123,6 +123,8 @@ def evaluate(
     threshold: float = 0.5,
 ) -> dict:
     """Dataset IoU and normalized IoU of the finest-scale predictions."""
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     probs = predict_probs(network, samples, batch_size)
     masks = [sample.mask[0] for sample in samples]
     return {
@@ -180,14 +182,14 @@ def train(
         if snapshot["optimizer"] is None:
             raise ConfigError("checkpoint has no optimizer state to resume from")
         meta = snapshot["meta"]
-        if int(meta.get("seed", train_config.seed)) != train_config.seed:
+        if meta.get("seed", train_config.seed) != train_config.seed:
             raise ConfigError(
                 f"checkpoint was trained with seed {meta.get('seed')}, "
                 f"got seed {train_config.seed}"
             )
         optimizer = _make_adam(network, train_config)
         optimizer.load_state_dict(snapshot["optimizer"])
-        start_epoch = int(meta.get("epoch", 0)) + 1
+        start_epoch = meta.get("epoch", 0) + 1
     else:
         network = build_network(net_config, seed=train_config.seed)
         optimizer = _make_adam(network, train_config)

@@ -290,6 +290,44 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("meta", "epoch", "x"),
+            ("meta", "epoch", 0.9),
+            ("hyper", "lr", "fast"),
+            ("hyper", "lr", -1.0),
+            ("hyper", "eps", 10**400),
+        ],
+        ids=["epoch-str", "epoch-float", "lr-str", "lr-negative", "eps-overflow"],
+    )
+    def test_bad_resume_state_is_io_error(self, toy_config, tmp_path, capsys, section, key, value):
+        cfg, _ = toy_config
+        net_config, train_config = load_configs(str(cfg))
+        network = build_network(net_config, seed=train_config.seed)
+        state = Adam(list(network.named_parameters())).state_dict()
+        meta = {"epoch": 1, "seed": train_config.seed}
+        (meta if section == "meta" else state["hyper"])[key] = value
+        resume = tmp_path / "resume.ckpt"
+        save_checkpoint(str(resume), network, optimizer_state=state, meta=meta)
+        cfg.write_text(cfg.read_text() + f"resume_from = {resume}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: checkpoint")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("threshold", ["2", "nan"])
+    def test_eval_bad_threshold_is_contract_error(self, toy_config, tmp_path, capsys, threshold):
+        cfg, ckpt = toy_config
+        net_config, _ = load_configs(str(cfg))
+        save_checkpoint(str(ckpt), build_network(net_config, seed=0))
+        main(["gen-data", "--out", str(tmp_path / "d"), "--n", "1", "--size", "16"])
+        capsys.readouterr()
+        args = ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "d")]
+        assert main(args + ["--threshold", threshold]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: threshold")
+
     def test_bad_threshold_is_contract_error(self, toy_config, tmp_path, capsys):
         cfg, ckpt = toy_config
         main(["train", "--config", str(cfg)])

@@ -8,7 +8,7 @@ from hcfnet.checkpoint import load_checkpoint, restore_network, save_checkpoint
 from hcfnet.errors import ConfigError, FileFormatError, ShapeError
 from hcfnet.network import DoubleConv, Network, NetworkConfig, build_network, count_params_macs
 from hcfnet.nn import Conv2d
-from hcfnet.tensor import Tensor, no_grad
+from hcfnet.tensor import Parameter, Tensor, backward, mul, no_grad, tape_length, tsum
 
 
 def rng(seed):
@@ -155,14 +155,116 @@ def double_conv_params(in_c, c):
     return (in_c * c * 9 + c) + 2 * c + (c * c * 9 + c) + 2 * c
 
 
+# Counts from the hand-written per-module MAC formulas that the probe
+# forward replaced: (config, height, width, params, macs, rows).
+ABLATED = NetworkConfig(use_ppa=False, use_dasi=False, use_mdcr=False)
+THREE_STAGE = NetworkConfig(
+    stages=3, widths=(8, 16, 16), in_channels=2, patch_sizes=(3, 5), loss_weights=(1.0, 0.5, 0.25)
+)
+PINNED_REPORTS = [
+    (
+        NetworkConfig(), 64, 64, 3763070, 326455744,
+        [
+            ("encoder0", 8817, 29519920),
+            ("encoder1", 31713, 29388896),
+            ("encoder2", 122593, 29230784),
+            ("encoder3", 485601, 29186048),
+            ("encoder4", 1936609, 29172512),
+            ("bottleneck", 70144, 1105920),
+            ("up0", 2064, 2097152),
+            ("skip_fuse0", 2880, 10027008),
+            ("decoder0", 9313, 31551536),
+            ("up1", 8224, 2097152),
+            ("skip_fuse1", 11936, 12091392),
+            ("decoder1", 33249, 30961760),
+            ("up2", 32832, 2097152),
+            ("skip_fuse2", 47424, 12075008),
+            ("decoder2", 128737, 30803648),
+            ("up3", 131200, 2097152),
+            ("skip_fuse3", 189056, 12066816),
+            ("decoder3", 510177, 30758912),
+            ("head0", 17, 65536),
+            ("head1", 33, 32768),
+            ("head2", 65, 16384),
+            ("head3", 129, 8192),
+            ("head4", 257, 4096),
+        ],
+    ),
+    (
+        NetworkConfig(), 48, 80, 3763070, 306350478,
+        [
+            ("encoder0", 8817, 27674928),
+            ("encoder1", 31713, 27552096),
+            ("encoder2", 122593, 27403872),
+            ("encoder3", 485601, 27401400),
+            ("encoder4", 1936609, 27568446),
+            ("bottleneck", 70144, 1036800),
+            ("up0", 2064, 1966080),
+            ("skip_fuse0", 2880, 9400320),
+            ("decoder0", 9313, 29579568),
+            ("up1", 8224, 1966080),
+            ("skip_fuse1", 11936, 11335680),
+            ("decoder1", 33249, 29026656),
+            ("up2", 32832, 1966080),
+            ("skip_fuse2", 47424, 11320320),
+            ("decoder2", 128737, 28878432),
+            ("up3", 131200, 1966080),
+            ("skip_fuse3", 189056, 11312640),
+            ("decoder3", 510177, 28875960),
+            ("head0", 17, 61440),
+            ("head1", 33, 30720),
+            ("head2", 65, 15360),
+            ("head3", 129, 7680),
+            ("head4", 257, 3840),
+        ],
+    ),
+    (
+        ABLATED, 64, 64, 1944245, 188911616,
+        [
+            ("encoder0", 2544, 10158080),
+            ("encoder1", 14016, 14221312),
+            ("encoder2", 55680, 14188544),
+            ("encoder3", 221952, 14172160),
+            ("encoder4", 886272, 14163968),
+            ("up0", 2064, 2097152),
+            ("decoder0", 7008, 28442624),
+            ("up1", 8224, 2097152),
+            ("decoder1", 27840, 28377088),
+            ("up2", 32832, 2097152),
+            ("decoder2", 110976, 28344320),
+            ("up3", 131200, 2097152),
+            ("decoder3", 443136, 28327936),
+            ("head0", 17, 65536),
+            ("head1", 33, 32768),
+            ("head2", 65, 16384),
+            ("head3", 129, 8192),
+            ("head4", 257, 4096),
+        ],
+    ),
+    (
+        THREE_STAGE, 16, 16, 48322, 2584940,
+        [
+            ("encoder0", 4963, 529032),
+            ("encoder1", 10707, 474356),
+            ("encoder2", 10835, 121716),
+            ("bottleneck", 544, 7680),
+            ("up0", 520, 32768),
+            ("skip_fuse0", 736, 157696),
+            ("decoder0", 5075, 557704),
+            ("up1", 1040, 16384),
+            ("skip_fuse1", 2768, 185344),
+            ("decoder1", 11091, 498932),
+            ("head0", 9, 2048),
+            ("head1", 17, 1024),
+            ("head2", 17, 256),
+        ],
+    ),
+]
+
 class TestCounting:
     def test_pointwise_conv_param_count(self):
         conv = Conv2d(4, 8, 1, rng=rng(20))
         assert conv.param_count() == 4 * 8 + 8
-
-    def test_conv_mac_formula(self):
-        conv = Conv2d(2, 2, 3, padding=1, rng=rng(21))
-        assert conv.macs(8, 8) == 8 * 8 * 2 * (9 * 2)
 
     def test_baseline_two_stage_hand_sum(self):
         net = build_network(TOY_BASE, seed=22)
@@ -242,7 +344,26 @@ class TestCounting:
     def test_report_resolution_must_divide(self):
         net = build_network(TOY_FULL, seed=26)
         with pytest.raises(ShapeError):
-            net.layer_report(15, 16)
+            count_params_macs(net, 15, 16)
+
+    @pytest.mark.parametrize("config,height,width,params,macs,rows", PINNED_REPORTS)
+    def test_report_matches_pinned_counts(self, config, height, width, params, macs, rows):
+        net = build_network(config, seed=0)
+        assert count_params_macs(net, height, width) == (params, macs, rows)
+
+    def test_probe_leaves_tape_and_state_unchanged(self):
+        net = build_network(TOY_FULL, seed=27)
+        with no_grad():  # a training-mode pass moves the BN buffers off their init
+            net(Tensor(rng(28).uniform(size=(2, 1, 16, 16))), train=True, rng=rng(29))
+        params = [p.data.copy() for p in net.parameters()]
+        buffers = [b.copy() for _, b in net.named_buffers()]
+        pending = mul(Parameter(np.ones(2)), 2.0)
+        length = tape_length()
+        count_params_macs(net, 16, 16)
+        assert tape_length() == length >= 1
+        assert all(np.array_equal(a, p.data) for a, p in zip(params, net.parameters()))
+        assert all(np.array_equal(a, b) for a, (_, b) in zip(buffers, net.named_buffers()))
+        backward(tsum(pending))
 
 
 class TestCheckpoint:

@@ -21,6 +21,7 @@ from hcfnet.tensor import (
     mul,
     narrow,
     no_grad,
+    observe,
     pad2d,
     permute_channels,
     relu,
@@ -207,11 +208,56 @@ class TestReductionsAndStructure:
         backward(tsum(y))
         assert np.array_equal(x.grad, np.ones((1, 1, 2, 2)))
 
+    def test_pad2d_zero_widths_pass_values_and_grad(self):
+        values = np.arange(6.0).reshape(1, 1, 2, 3)
+        x = Tensor(values, requires_grad=True)
+        y = pad2d(x, 0, 0, 0, 0)
+        assert np.array_equal(y.data, values)
+        backward(tsum(mul(y, Tensor(values + 1.0))))
+        assert np.array_equal(x.grad, values + 1.0)
+
     def test_matmul_batched(self):
         a = np.random.default_rng(0).standard_normal((2, 3, 4))
         b = np.random.default_rng(1).standard_normal((4, 5))
         out = matmul(Tensor(a), Tensor(b))
         assert np.allclose(out.data, a @ b)
+
+
+class TestObserve:
+    def test_sees_ops_with_and_without_recording(self):
+        seen = []
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with observe(lambda op, inputs, out: seen.append((op, inputs, out))):
+            y = mul(x, 2.0)
+            with no_grad():
+                z = relu(y)
+        assert [op for op, _, _ in seen] == ["mul", "relu"]
+        assert seen[0][1][0] is x and seen[0][2] is y and seen[1][2] is z
+        assert y.requires_grad and not z.requires_grad
+        backward(tsum(y))
+
+    def test_nested_blocks(self):
+        outer, inner = [], []
+        x = Tensor(np.ones(3))
+        with observe(lambda op, inputs, out: outer.append(op)):
+            relu(x)
+            with observe(lambda op, inputs, out: inner.append(op)):
+                sigmoid(x)
+            sqrt(x)
+        softplus(x)
+        assert outer == ["relu", "sqrt"] and inner == ["sigmoid"]
+
+    def test_previous_observer_restored_after_exception(self):
+        seen = []
+        x = Tensor(np.ones(3))
+        with observe(lambda op, inputs, out: seen.append(op)):
+            with pytest.raises(RuntimeError):
+                with observe(lambda op, inputs, out: None):
+                    sigmoid(x)
+                    raise RuntimeError("inner block fails")
+            relu(x)
+        sqrt(x)
+        assert seen == ["relu"]
 
 
 class TestFiniteDifference:
