@@ -124,8 +124,8 @@ def load_checkpoint(path: str) -> dict:
         config_raw = _read_json(fh, "config frame")
         try:
             config = NetworkConfig.from_dict(config_raw)
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"checkpoint config frame has a mistyped field: {exc}") from exc
+        except ConfigError as exc:
+            raise FileFormatError(f"checkpoint config frame: {exc}") from exc
         params = _read_named_blobs(fh)
         buffers = _read_named_blobs(fh)
         flag = fh.read(1)

@@ -1,13 +1,15 @@
 """Flat key=value config files for the command-line tools.
 
 One ``key = value`` pair per line; ``#`` starts a comment; blank lines are
-skipped.  List-valued fields use commas (``widths = 16,32,64,128,256``) and
-optional string fields accept ``none``.  Keys map onto NetworkConfig and
-TrainConfig fields; anything else is rejected.
+skipped.  The keys are exactly the NetworkConfig and TrainConfig fields, and
+each value is parsed by its field's annotation: tuples as comma lists
+(``widths = 16,32,64,128,256``), ``X | None`` as ``none`` or an ``X``, bools
+as true/yes/on/1 or false/no/off/0.  Anything else is rejected.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import replace
 
 from .errors import ConfigError, FileFormatError
@@ -26,46 +28,25 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok.strip()) for tok in text.split(","))
+def _parser(hint):
+    """Text parser for one annotated field type."""
+    if hint is bool:
+        return _parse_bool
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        item = _parser(args[0])
+        return lambda text: tuple(item(tok.strip()) for tok in text.split(","))
+    if type(None) in args:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        parse = _parser(inner)
+        return lambda text: None if text.lower() == "none" else parse(text)
+    return hint
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok.strip()) for tok in text.split(","))
-
-
-def _parse_opt_str(text: str) -> str | None:
-    return None if text.lower() == "none" else text
-
-
-_NETWORK_FIELDS = {
-    "stages": int,
-    "widths": _parse_ints,
-    "in_channels": int,
-    "patch_sizes": _parse_ints,
-    "dilations": _parse_ints,
-    "dropout": float,
-    "use_ppa": _parse_bool,
-    "use_dasi": _parse_bool,
-    "use_mdcr": _parse_bool,
-    "loss_weights": _parse_floats,
-}
-
-_TRAIN_FIELDS = {
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "seed": int,
-    "data_dir": _parse_opt_str,
-    "synthetic_n": int,
-    "synthetic_seed": int,
-    "image_size": int,
-    "threshold": float,
-    "checkpoint_path": _parse_opt_str,
-    "resume_from": _parse_opt_str,
+_FIELDS = {
+    name: (cls, _parser(hint))
+    for cls in (NetworkConfig, TrainConfig)
+    for name, hint in typing.get_type_hints(cls).items()
 }
 
 
@@ -90,21 +71,17 @@ def parse_kv_file(path: str) -> dict[str, str]:
 
 def configs_from_mapping(pairs: dict[str, str]) -> tuple[NetworkConfig, TrainConfig]:
     """Convert raw string pairs into validated network and train configs."""
-    net_kwargs: dict = {}
-    train_kwargs: dict = {}
+    kwargs: dict = {NetworkConfig: {}, TrainConfig: {}}
     for key, value in pairs.items():
-        if key in _NETWORK_FIELDS:
-            parser, sink = _NETWORK_FIELDS[key], net_kwargs
-        elif key in _TRAIN_FIELDS:
-            parser, sink = _TRAIN_FIELDS[key], train_kwargs
-        else:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key '{key}'")
+        cls, parser = _FIELDS[key]
         try:
-            sink[key] = parser(value)
+            kwargs[cls][key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"config key '{key}': {exc}") from exc
-    net_config = NetworkConfig(**net_kwargs)
-    train_config = TrainConfig(**train_kwargs)
+    net_config = NetworkConfig(**kwargs[NetworkConfig])
+    train_config = TrainConfig(**kwargs[TrainConfig])
     net_config.validate()
     train_config.validate()
     return net_config, train_config

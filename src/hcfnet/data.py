@@ -56,6 +56,8 @@ class SyntheticConfig:
             raise ConfigError(f"boost_range must lie inside (0, 1], got {self.boost_range}")
         if not 0.0 < self.max_coverage < 1.0:
             raise ConfigError(f"max_coverage must lie in (0, 1), got {self.max_coverage}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -36,13 +36,13 @@ def bce_loss(logits: Tensor, target: Tensor) -> Tensor:
     return tmean(sub(softplus(logits), mul(logits, target)))
 
 
-def soft_iou_loss(logits: Tensor, target: Tensor, eps: float = SOFT_IOU_EPS) -> Tensor:
+def soft_iou_loss(logits: Tensor, target: Tensor) -> Tensor:
     """Per-image 1 - (|p*y| + eps) / (|p| + |y| - |p*y| + eps), batch-averaged."""
     _check_pair(logits, target, "soft_iou_loss")
     probs = sigmoid(logits)
     inter = tsum(mul(probs, target), axis=(1, 2, 3))
     union = sub(add(tsum(probs, axis=(1, 2, 3)), tsum(target, axis=(1, 2, 3))), inter)
-    ratio = div(add(inter, eps), add(union, eps))
+    ratio = div(add(inter, SOFT_IOU_EPS), add(union, SOFT_IOU_EPS))
     return tmean(sub(1.0, ratio))
 
 

@@ -10,7 +10,9 @@ input resolution, finest scale first.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import sys
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,24 +62,41 @@ class NetworkConfig:
                 f"loss_weights needs one weight per scale ({self.stages}), "
                 f"got {len(self.loss_weights)}"
             )
-        if any(w <= 0 for w in self.loss_weights):
-            raise ConfigError("loss_weights must be positive")
+        if not all(0 < w <= sys.float_info.max for w in self.loss_weights):  # no NaN or inf
+            raise ConfigError(f"loss_weights must be finite and positive, got {self.loss_weights}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkConfig":
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
+        """Config from ``to_dict`` or its JSON form; each value must match its
+        field's type."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"network config must be an object, got {type(raw).__name__}")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown network config keys: {sorted(unknown)}")
-        for key in ("widths", "patch_sizes", "dilations", "loss_weights"):
-            if key in known:
-                known[key] = tuple(known[key])
-        cfg = cls(**known)
+        hints = typing.get_type_hints(cls)
+        for key, value in raw.items():
+            if not _json_matches(value, hints[key]):
+                declared = cls.__dataclass_fields__[key].type
+                raise ConfigError(f"{key} must be {declared}, got {value!r}")
+        cfg = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
         cfg.validate()
         return cfg
+
+
+def _json_matches(value, hint) -> bool:
+    """True when a JSON value has the annotated type: a list (or tuple) for a
+    tuple, an int or float for a float, otherwise exactly the type, so a bool
+    is no int."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_json_matches(v, item) for v in value)
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
 
 
 class DoubleConv(Module):

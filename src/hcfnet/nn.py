@@ -117,7 +117,6 @@ class Conv2d(Module):
         out_channels: int,
         kernel: int,
         *,
-        stride: int = 1,
         padding: int = 0,
         dilation: int = 1,
         groups: int = 1,
@@ -129,7 +128,6 @@ class Conv2d(Module):
             raise ConfigError(
                 f"channels ({in_channels}->{out_channels}) not divisible by groups={groups}"
             )
-        self.stride = stride
         self.padding = padding
         self.dilation = dilation
         self.groups = groups
@@ -142,7 +140,6 @@ class Conv2d(Module):
             x,
             self.weight,
             self.bias,
-            stride=self.stride,
             padding=self.padding,
             dilation=self.dilation,
             groups=self.groups,
@@ -166,10 +163,8 @@ class ConvTranspose2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, *, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
@@ -183,8 +178,6 @@ class BatchNorm2d(Module):
             self.running_mean,
             self.running_var,
             train=train,
-            momentum=self.momentum,
-            eps=self.eps,
         )
 
     __call__ = forward
@@ -193,19 +186,14 @@ class BatchNorm2d(Module):
 class Linear(Module):
     """Affine map over the last axis; weight is [in_features, out_features]."""
 
-    def __init__(
-        self, in_features: int, out_features: int, *, bias: bool = True, rng: np.random.Generator
-    ):
+    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
         super().__init__()
         bound = float(np.sqrt(6.0 / in_features))
         self.weight = Parameter(rng.uniform(-bound, bound, (in_features, out_features)))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return matmul(x, self.weight) + self.bias
 
     __call__ = forward
 

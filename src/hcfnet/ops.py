@@ -324,6 +324,10 @@ def unfold_patches(x: Tensor, patch: int) -> Tensor:
     return record("unfold_patches", (x,), np.ascontiguousarray(out), bw)
 
 
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -332,14 +336,12 @@ def batch_norm(
     running_var: np.ndarray,
     *,
     train: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel normalization over (N, H, W) plus affine transform.
 
     Training mode normalizes with biased batch statistics and updates the
-    running buffers in place (unbiased variance, decay ``momentum``); eval
-    mode normalizes with the running buffers as constants.
+    running buffers in place (unbiased variance, decay ``_BN_MOMENTUM``);
+    eval mode normalizes with the running buffers as constants.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm expects rank 4, got {x.shape}")
@@ -352,19 +354,19 @@ def batch_norm(
         mu = tmean(x, (0, 2, 3), keepdims=True)
         centered = sub(x, mu)
         var = tmean(mul(centered, centered), (0, 2, 3), keepdims=True)
-        norm = div(centered, sqrt(add(var, eps)))
+        norm = div(centered, sqrt(add(var, _BN_EPS)))
         count = n * h * w
         batch_mean = mu.data.reshape(c)
         batch_var = var.data.reshape(c)
         if count > 1:
             batch_var = batch_var * (count / (count - 1.0))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * batch_mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * batch_var
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * batch_mean
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * batch_var
     else:
         shift = Tensor(running_mean.reshape(1, c, 1, 1))
-        scale = Tensor(np.sqrt(running_var + eps).reshape(1, c, 1, 1))
+        scale = Tensor(np.sqrt(running_var + _BN_EPS).reshape(1, c, 1, 1))
         norm = div(sub(x, shift), scale)
     return add(mul(norm, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
 

@@ -38,6 +38,7 @@ from .tensor import (
 __all__ = ["PPA", "PatchBranch", "ChannelAttention", "SpatialAttention", "feature_select"]
 
 _NORM_FLOOR = 1e-24
+_ECA_KERNEL = 3
 
 
 def feature_select(tokens: Tensor, embedding: Tensor, mix: Tensor) -> Tensor:
@@ -117,9 +118,9 @@ class PatchBranch(Module):
 class ChannelAttention(Module):
     """ECA-style gate: pooled descriptor, 1-D conv across channels, sigmoid."""
 
-    def __init__(self, kernel: int = 3, *, rng: np.random.Generator):
+    def __init__(self, *, rng: np.random.Generator):
         super().__init__()
-        self.weight = Parameter(kaiming_uniform(rng, (kernel,)))
+        self.weight = Parameter(kaiming_uniform(rng, (_ECA_KERNEL,)))
 
     def forward(self, x: Tensor) -> Tensor:
         n, c = x.shape[0], x.shape[1]

@@ -18,7 +18,7 @@ from .errors import ConfigError, ContractError, ShapeError
 from .losses import deep_supervision_loss
 from .metrics import iou_metric, niou_metric
 from .network import Network, NetworkConfig, build_network
-from .optim import Adam
+from .optim import Adam, check_hyper
 from .tensor import Tensor, _sigmoid, backward, no_grad
 
 __all__ = ["TrainConfig", "TrainResult", "train", "evaluate", "predict_probs", "infer_image"]
@@ -46,8 +46,10 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        check_hyper({"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps})
+        for name in ("seed", "synthetic_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.synthetic_n < 1:
             raise ConfigError(f"synthetic_n must be >= 1, got {self.synthetic_n}")
         if self.image_size < 8:
@@ -187,6 +189,9 @@ def train(
                 f"checkpoint was trained with seed {meta.get('seed')}, "
                 f"got seed {train_config.seed}"
             )
+        hyper = snapshot["optimizer"]["hyper"]
+        if any(value != getattr(train_config, name) for name, value in hyper.items()):
+            raise ConfigError(f"checkpoint was trained with Adam {hyper}, the config differs")
         optimizer = _make_adam(network, train_config)
         optimizer.load_state_dict(snapshot["optimizer"])
         start_epoch = meta.get("epoch", 0) + 1

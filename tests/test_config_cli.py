@@ -1,8 +1,10 @@
 """Tests for the key=value config parser and the command-line interface."""
 
+import dataclasses
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,37 @@ from hcfnet.data import read_pgm
 from hcfnet.errors import ConfigError, FileFormatError
 from hcfnet.network import NetworkConfig, build_network
 from hcfnet.optim import Adam
+from hcfnet.train import TrainConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# One non-default spelling and its parsed value for every config field.
+NON_DEFAULT = {
+    "stages": ("3", 3),
+    "widths": ("8, 16,32", (8, 16, 32)),
+    "in_channels": ("2", 2),
+    "patch_sizes": ("3,5", (3, 5)),
+    "dilations": ("1,2,3,4", (1, 2, 3, 4)),
+    "dropout": ("0.25", 0.25),
+    "use_ppa": ("no", False),
+    "use_dasi": ("OFF", False),
+    "use_mdcr": ("0", False),
+    "loss_weights": ("1,0.5,0.25", (1.0, 0.5, 0.25)),
+    "epochs": ("3", 3),
+    "batch_size": ("2", 2),
+    "lr": ("0.01", 0.01),
+    "beta1": ("0.8", 0.8),
+    "beta2": ("0.99", 0.99),
+    "eps": ("1e-7", 1e-7),
+    "seed": ("5", 5),
+    "data_dir": ("scenes", "scenes"),
+    "synthetic_n": ("4", 4),
+    "synthetic_seed": ("7", 7),
+    "image_size": ("32", 32),
+    "threshold": ("0.4", 0.4),
+    "checkpoint_path": ("out/model.ckpt", "out/model.ckpt"),
+    "resume_from": ("in/model.ckpt", "in/model.ckpt"),
+}
 
 
 class TestKvParser:
@@ -61,6 +94,26 @@ class TestConfigMapping:
         assert tr.epochs == 3 and tr.lr == 0.01
         assert tr.data_dir is None
         assert tr.checkpoint_path == "out/model.ckpt"
+
+    def test_every_field_parses_non_default(self):
+        net, tr = configs_from_mapping({key: text for key, (text, _) in NON_DEFAULT.items()})
+        fields = dataclasses.fields(NetworkConfig) + dataclasses.fields(TrainConfig)
+        assert sorted(NON_DEFAULT) == sorted(f.name for f in fields)
+        for f in fields:
+            got = getattr(net if hasattr(net, f.name) else tr, f.name)
+            want = NON_DEFAULT[f.name][1]
+            assert want != f.default
+            assert got == want and type(got) is type(want), f.name
+            if isinstance(want, tuple):
+                assert [type(v) for v in got] == [type(v) for v in want], f.name
+
+    def test_readme_example_parses(self, tmp_path):
+        (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        pairs = parse_kv_file(str(path))
+        assert len(pairs) >= 5
+        configs_from_mapping(pairs)
 
     def test_defaults_when_empty(self):
         net, tr = configs_from_mapping({})
@@ -223,7 +276,18 @@ class TestCliExitCodes:
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path)]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("field,value", [("widths", 8), ("stages", "x")])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("widths", 8),
+            ("stages", "x"),
+            ("widths", [8.0, 8.0]),
+            ("stages", 2.0),
+            ("use_ppa", "no"),
+            ("stages", 1),
+            ("dropout", 2),
+        ],
+    )
     def test_mistyped_checkpoint_config_is_io_error(self, tmp_path, capsys, field, value):
         config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
         good = tmp_path / "good.ckpt"
@@ -315,6 +379,33 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: checkpoint")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["seed = -1", "synthetic_seed = -3", "loss_weights = nan,0.5"],
+    )
+    def test_bad_config_value_is_contract_error(self, toy_config, capsys, line):
+        cfg, ckpt = toy_config
+        key = line.split(" =")[0]
+        kept = [old for old in cfg.read_text().splitlines() if not old.startswith(key + " ")]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {key}"), captured.err
+        assert not ckpt.exists()
+
+    def test_negative_seed_flag_is_contract_error(self, toy_config, capsys):
+        cfg, ckpt = toy_config
+        assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: seed")
+        assert not ckpt.exists()
+
+    def test_gen_data_negative_seed_is_contract_error(self, tmp_path, capsys):
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--n", "1", "--seed", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: seed")
 
     @pytest.mark.parametrize("threshold", ["2", "nan"])
     def test_eval_bad_threshold_is_contract_error(self, toy_config, tmp_path, capsys, threshold):

@@ -46,6 +46,8 @@ class TestNetworkConfig:
             {"dilations": (1, 3, 5, 0)},
             {"loss_weights": (1.0, 0.5)},
             {"loss_weights": (1.0, 0.5, 0.25, 0.125, 0.0)},
+            {"loss_weights": (1.0, 0.5, 0.25, 0.125, float("nan"))},
+            {"loss_weights": (1.0, 0.5, 0.25, 0.125, float("inf"))},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -402,6 +404,13 @@ class TestCheckpoint:
         for name, (m, v) in snapshot["optimizer"]["moments"].items():
             np.testing.assert_array_equal(m, state["moments"][name][0])
             np.testing.assert_array_equal(v, state["moments"][name][1])
+
+    def test_int_in_float_field_restores(self, tmp_path):
+        config = NetworkConfig(stages=2, widths=(8, 8), dropout=0, loss_weights=(1, 0.5))
+        path = str(tmp_path / "net.ckpt")
+        save_checkpoint(path, build_network(config, seed=36))
+        _, snapshot = restore_network(path)
+        assert snapshot["config"] == config
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

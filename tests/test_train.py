@@ -33,6 +33,23 @@ def toy_train(**overrides):
 LOG_LINE = re.compile(r"^epoch=(\d+) loss=(\d+\.\d{6}) iou=(\d+\.\d{6})$")
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lr": float("inf")},
+            {"beta1": float("nan")},
+            {"beta2": 1.0},
+            {"eps": 0.0},
+            {"seed": -1},
+            {"synthetic_seed": -3},
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            toy_train(**kwargs).validate()
+
+
 class TestTrainLoop:
     def test_smoke_run_finite(self):
         result = train(TOY_NET, toy_train(epochs=1))
@@ -136,6 +153,12 @@ class TestCheckpointing:
         train(TOY_NET, toy_train(checkpoint_path=path))
         with pytest.raises(ConfigError):
             train(TOY_NET, toy_train(epochs=3, seed=99, resume_from=path))
+
+    def test_resume_rejects_adam_mismatch(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        train(TOY_NET, toy_train(checkpoint_path=path))
+        with pytest.raises(ConfigError, match="Adam"):
+            train(TOY_NET, toy_train(epochs=3, lr=0.5, beta1=0.0, resume_from=path))
 
 
 class TestEvaluateAndInfer:
