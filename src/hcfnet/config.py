@@ -53,19 +53,23 @@ _FIELDS = {
 def parse_kv_file(path: str) -> dict[str, str]:
     """Read raw key -> value strings, rejecting malformed or duplicate keys."""
     pairs: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FileFormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key or not value:
-                raise FileFormatError(f"{path}:{lineno}: empty key or value")
-            if key in pairs:
-                raise FileFormatError(f"{path}:{lineno}: duplicate key '{key}'")
-            pairs[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FileFormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise FileFormatError(f"{path}:{lineno}: empty key or value")
+        if key in pairs:
+            raise FileFormatError(f"{path}:{lineno}: duplicate key '{key}'")
+        pairs[key] = value
     return pairs
 
 

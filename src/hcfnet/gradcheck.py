@@ -123,6 +123,11 @@ def _pick_coords(
     return pairs
 
 
+def _check_max_coords(max_coords: int | None) -> None:
+    if max_coords is not None and max_coords < 1:
+        raise ConfigError(f"max_coords must be at least 1, got {max_coords}")
+
+
 def check_gradients(
     fn: Callable[[], Tensor],
     targets: list[tuple[str, Tensor]],
@@ -136,6 +141,7 @@ def check_gradients(
     ``total_coords`` instead samples that many from all targets pooled.
     With neither set, every coordinate is checked.
     """
+    _check_max_coords(max_coords)
     zero_grads([t for _, t in targets])
     backward(fn())
     analytic = [
@@ -165,6 +171,7 @@ _NET_TOTAL_COORDS = 20
 
 
 def run_case(name: str, *, max_coords: int | None = None) -> float:
+    _check_max_coords(max_coords)
     fn, targets = build_case(name)
     if name == "net":
         return check_gradients(fn, targets, total_coords=_NET_TOTAL_COORDS)

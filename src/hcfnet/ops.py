@@ -4,17 +4,20 @@ Convolution is im2col plus a grouped matmul; the im2col gather and its
 scatter adjoint loop only over kernel taps, so each tap is one bulk strided
 copy.  The forward gathers and multiplies in bands of whole output rows, so
 no band's column buffer exceeds ``_BAND_BYTES`` and large frames never
-materialise the full column tensor; backward recomputes the columns over the
-full extent.  All spatial ops define exact adjoints so the tape gradients
-match central differences.
+materialise the full column tensor.  Backward builds the input gradient's
+columns in the same bands, scattering each before the next, and only then
+recomputes the full-extent columns for the weight gradient (its GEMM stays
+unsplit, which keeps its summation order), so the two column buffers are
+never alive together.  All spatial ops define exact adjoints so the tape
+gradients match central differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .tensor import Tensor, add, div, mul, record, reshape, sqrt, sub, tmean
+from .errors import ContractError, ShapeError
+from .tensor import Tensor, _unbroadcast, add, div, mul, record, reshape, sub
 
 __all__ = [
     "conv2d",
@@ -104,43 +107,48 @@ def conv2d(
     out = np.empty((n, out_c, oh, ow))
     outm = out.reshape(n, groups, o_per_g, positions)
     band = oh if pointwise else max(1, _BAND_BYTES // (n * c * kh * kw * ow * 8))
+    bands = [range(r0, min(r0 + band, oh)) for r0 in range(0, oh, band)]
     xp = padded()
-    for r0 in range(0, oh, band):
-        rows = range(r0, min(r0 + band, oh))
+    for rows in bands:
         np.matmul(w2, columns(xp, rows), out=outm[..., rows.start * ow : rows.stop * ow])
     if bias is not None:
         out += bias.data.reshape(1, out_c, 1, 1)
 
+    def grad_input(g4: np.ndarray) -> np.ndarray:
+        """Scatter each band's column gradient into the padded input.
+
+        Bands run last to first so every padded pixel still receives its
+        taps in ascending (u, v) order, as a single full-extent scatter would.
+        """
+        wt = w2.swapaxes(1, 2)
+        if pointwise:
+            return np.matmul(wt, g4).reshape(n, c, h, w)
+        dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        for rows in reversed(bands):
+            dcol = np.matmul(wt, g4[..., rows.start * ow : rows.stop * ow])
+            dcol = dcol.reshape(n, c, kh, kw, len(rows), ow)
+            for u in range(kh):
+                iu = rows.start * stride + u * dilation
+                for v in range(kw):
+                    jv = v * dilation
+                    dxp[
+                        :, :, iu : iu + stride * (len(rows) - 1) + 1 : stride,
+                        jv : jv + stride * (ow - 1) + 1 : stride,
+                    ] += dcol[:, :, u, v]
+        if padding:
+            dxp = dxp[:, :, padding : padding + h, padding : padding + w]
+        return np.ascontiguousarray(dxp)
+
     def bw(gout):
         g4 = gout.reshape(n, groups, o_per_g, positions)
-        colm = columns(padded(), range(oh))
         grad_w = grad_b = grad_x = None
+        if x.requires_grad:
+            grad_x = grad_input(g4)
         if weight.requires_grad:
+            colm = columns(padded(), range(oh))
             grad_w = np.matmul(g4, colm.swapaxes(2, 3)).sum(axis=0).reshape(weight.shape)
         if bias is not None and bias.requires_grad:
             grad_b = gout.sum(axis=(0, 2, 3))
-        if x.requires_grad:
-            dcol = np.matmul(w2.swapaxes(1, 2), g4)
-            if pointwise:
-                grad_x = dcol.reshape(n, c, h, w)
-            else:
-                dcol = dcol.reshape(n, c, kh, kw, oh, ow)
-                hp, wp = h + 2 * padding, w + 2 * padding
-                dxp = np.zeros((n, c, hp, wp))
-                for u in range(kh):
-                    iu = u * dilation
-                    for v in range(kw):
-                        jv = v * dilation
-                        dxp[
-                            :, :, iu : iu + stride * (oh - 1) + 1 : stride,
-                            jv : jv + stride * (ow - 1) + 1 : stride,
-                        ] += dcol[:, :, u, v]
-                grad_x = (
-                    dxp[:, :, padding : padding + h, padding : padding + w]
-                    if padding
-                    else dxp
-                )
-                grad_x = np.ascontiguousarray(grad_x)
         grads = [grad_x, grad_w]
         if bias is not None:
             grads.append(grad_b)
@@ -340,8 +348,10 @@ def batch_norm(
     """Per-channel normalization over (N, H, W) plus affine transform.
 
     Training mode normalizes with biased batch statistics and updates the
-    running buffers in place (unbiased variance, decay ``_BN_MOMENTUM``);
-    eval mode normalizes with the running buffers as constants.
+    running buffers in place (unbiased variance, decay ``_BN_MOMENTUM``); it
+    is one tape op that keeps only the per-channel mean and deviation and
+    recomputes the centred input in backward.  Eval mode normalizes with the
+    running buffers as constants.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm expects rank 4, got {x.shape}")
@@ -350,25 +360,46 @@ def batch_norm(
         raise ShapeError(f"batch_norm affine params must have shape ({c},)")
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ShapeError(f"batch_norm running stats must have shape ({c},)")
-    if train:
-        mu = tmean(x, (0, 2, 3), keepdims=True)
-        centered = sub(x, mu)
-        var = tmean(mul(centered, centered), (0, 2, 3), keepdims=True)
-        norm = div(centered, sqrt(add(var, _BN_EPS)))
-        count = n * h * w
-        batch_mean = mu.data.reshape(c)
-        batch_var = var.data.reshape(c)
-        if count > 1:
-            batch_var = batch_var * (count / (count - 1.0))
-        running_mean *= 1.0 - _BN_MOMENTUM
-        running_mean += _BN_MOMENTUM * batch_mean
-        running_var *= 1.0 - _BN_MOMENTUM
-        running_var += _BN_MOMENTUM * batch_var
-    else:
+    if not train:
         shift = Tensor(running_mean.reshape(1, c, 1, 1))
         scale = Tensor(np.sqrt(running_var + _BN_EPS).reshape(1, c, 1, 1))
         norm = div(sub(x, shift), scale)
-    return add(mul(norm, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
+        return add(mul(norm, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
+    axes, chan = (0, 2, 3), (1, c, 1, 1)
+    count = n * h * w
+    mu = x.data.mean(axis=axes, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    s = np.sqrt(var + _BN_EPS)
+    if not np.isfinite(s).all():
+        raise ContractError("non-finite batch variance in 'batch_norm'")
+    g4 = gamma.data.reshape(chan)
+    out = centered / s * g4 + beta.data.reshape(chan)
+    batch_var = var.reshape(c)
+    if count > 1:
+        batch_var = batch_var * (count / (count - 1.0))
+    running_mean *= 1.0 - _BN_MOMENTUM
+    running_mean += _BN_MOMENTUM * mu.reshape(c)
+    running_var *= 1.0 - _BN_MOMENTUM
+    running_var += _BN_MOMENTUM * batch_var
+
+    def bw(g):
+        # Replays the tape of mean, sub, mul, mean, add-eps, sqrt, div, scale
+        # and shift in reverse with the same groupings, so the gradients equal
+        # that composition's bit for bit when this op is x's only consumer.
+        centered = x.data - mu
+        grad_beta = _unbroadcast(g, chan).reshape(c)
+        grad_gamma = _unbroadcast(g * (centered / s), chan).reshape(c)
+        if not x.requires_grad:
+            return None, grad_gamma, grad_beta
+        g_norm = g * g4
+        g_s = _unbroadcast(-g_norm * centered / (s * s), chan)
+        g_sq = g_s * 0.5 / s / count
+        g_centered = g_norm / s + g_sq * centered + g_sq * centered
+        g_mu = _unbroadcast(-g_centered, chan)
+        return g_centered + g_mu / count, grad_gamma, grad_beta
+
+    return record("batch_norm", (x, gamma, beta), out, bw)
 
 
 def channel_conv1d(x: Tensor, weight: Tensor) -> Tensor:

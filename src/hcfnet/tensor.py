@@ -195,7 +195,9 @@ def record(
 def backward(loss: Tensor) -> None:
     """Reverse sweep from ``loss``; accumulates into reachable leaf ``grad``s.
 
-    Consumes the tape: all records are dropped afterwards.
+    Consumes the tape: each record is popped as the sweep reaches it, so a
+    node's output and its backward closure are released as soon as no
+    earlier node still refers to them, and all records are gone afterwards.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -206,7 +208,8 @@ def backward(loss: Tensor) -> None:
     owners: dict[int, Tensor] = {id(loss): loss}
     found = False
     try:
-        for node in reversed(_TAPE):
+        while _TAPE:
+            node = _TAPE.pop()
             gout = grads.pop(id(node.output), None)
             if gout is None:
                 continue

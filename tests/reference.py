@@ -128,6 +128,31 @@ def batch_norm_train_naive(x, gamma, beta, eps=1e-5):
     return out
 
 
+def batch_norm_composed(x, gamma, beta, running_mean, running_var, momentum=0.1, eps=1e-5):
+    """Train-mode batch norm as the 11 elementwise tape ops it once was.
+
+    Unlike the loop oracles this reuses the package's tensor ops on purpose:
+    the single-op ``batch_norm`` must reproduce this composition's forward,
+    running-buffer update and gradients bit for bit.
+    """
+    from hcfnet.tensor import add, div, mul, reshape, sqrt, sub, tmean
+
+    n, c, h, w = x.shape
+    mu = tmean(x, (0, 2, 3), keepdims=True)
+    centered = sub(x, mu)
+    var = tmean(mul(centered, centered), (0, 2, 3), keepdims=True)
+    norm = div(centered, sqrt(add(var, eps)))
+    count = n * h * w
+    batch_var = var.data.reshape(c)
+    if count > 1:
+        batch_var = batch_var * (count / (count - 1.0))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu.data.reshape(c)
+    running_var *= 1.0 - momentum
+    running_var += momentum * batch_var
+    return add(mul(norm, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
+
+
 def batch_norm_eval_naive(x, gamma, beta, running_mean, running_var, eps=1e-5):
     out = np.zeros_like(x)
     for c in range(x.shape[1]):

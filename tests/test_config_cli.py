@@ -264,6 +264,22 @@ class TestCliExitCodes:
         assert main(["train", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_invalid_utf8_config_is_io_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"stages = 2\n\xff\xfe = 3\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}: not valid UTF-8"), captured.err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_gradcheck_max_coords_below_one_is_contract_error(self, capsys, value):
+        assert main(["gradcheck", "--module", "dasi", "--max-coords", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max_coords must be at least 1, got {value}\n"
+
     def test_unknown_key_is_contract_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("depth = 5\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hcfnet import ops
-from hcfnet.errors import ShapeError
+from hcfnet.errors import ContractError, ShapeError
 from hcfnet.network import Network, NetworkConfig
 from hcfnet.ops import (
     batch_norm,
@@ -20,11 +20,12 @@ from hcfnet.ops import (
     softmax,
     unfold_patches,
 )
-from hcfnet.tensor import Tensor, backward, mul, no_grad, tsum
+from hcfnet.tensor import Tensor, backward, mul, no_grad, tape_length, tsum
 from hcfnet.train import infer_image
 
 from finite_difference import finite_difference_check
 from reference import (
+    batch_norm_composed,
     batch_norm_train_naive,
     bilinear_naive,
     channel_conv1d_naive,
@@ -153,15 +154,25 @@ class TestConv2dBands:
         x = rng.standard_normal((n, c, h, w))
         wt = rng.standard_normal((c, c // groups, 3, 3))
         b = rng.standard_normal(c)
+        field = Tensor(rng.standard_normal((n, c, oh, ow)))
+
+        def run(band_bytes):
+            monkeypatch.setattr(ops, "_BAND_BYTES", band_bytes)
+            leaves = [Tensor(v, requires_grad=True) for v in (x, wt, b)]
+            out = conv2d(*leaves, stride=stride, padding=padding, dilation=dilation,
+                         groups=groups)
+            backward(tsum(mul(out, field)))
+            return out.data, [t.grad for t in leaves]
+
         # 7 rows split 1+1+...+1 or 3+3+1 (a ragged last band).
-        monkeypatch.setattr(ops, "_BAND_BYTES", band_rows * n * c * 9 * ow * 8)
-        out = conv2d(
-            Tensor(x), Tensor(wt), Tensor(b),
-            stride=stride, padding=padding, dilation=dilation, groups=groups,
-        )
+        out, grads = run(band_rows * n * c * 9 * ow * 8)
         assert out.shape == (n, c, oh, ow)
         ref = conv2d_naive(x, wt, b, stride, padding, dilation, groups)
-        assert np.max(np.abs(out.data - ref)) < 1e-10
+        assert np.max(np.abs(out - ref)) < 1e-10
+        # The backward bands the input gradient too; every gradient must be
+        # bitwise what a single band gives.
+        for got, want in zip(grads, run(sys.maxsize)[1]):
+            assert np.array_equal(got, want)
 
     def test_frame_bitwise_equal_to_single_band(self, monkeypatch):
         # The 16-channel 3x3 convs at 256x256 need 75 MB of columns, so the
@@ -415,6 +426,43 @@ class TestBatchNorm:
         gamma, beta, rm, rv = self._state(3)
         with pytest.raises(ShapeError):
             batch_norm(Tensor(np.zeros((1, 2, 2, 2))), gamma, beta, rm, rv, train=True)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5, 5), (1, 2, 3, 6), (4, 3, 1, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_train_bitwise_equal_to_composition(self, shape, x_grad):
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        affine = rng.standard_normal((2, c))
+        buffers = rng.random((2, c)) + 0.5
+        field = Tensor(rng.standard_normal(shape))
+
+        def run(fn):
+            leaves = [Tensor(x, requires_grad=x_grad)]
+            leaves += [Tensor(v, requires_grad=True) for v in affine]
+            rm, rv = buffers[0].copy(), buffers[1].copy()
+            before = tape_length()
+            out = fn(*leaves, rm, rv)
+            nodes = tape_length() - before
+            backward(tsum(mul(out, field)))
+            return out.data, rm, rv, [t.grad for t in leaves], nodes
+
+        fused = run(lambda *a: batch_norm(*a, train=True))
+        composed = run(batch_norm_composed)
+        assert fused[4] == 1 and composed[4] == (11 if x_grad else 4)
+        for got, want in zip(fused[:3], composed[:3]):
+            assert np.array_equal(got, want)
+        assert (fused[3][0] is None) == (not x_grad)
+        for got, want in zip(fused[3], composed[3]):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+
+    def test_train_overflowing_variance_rejected(self):
+        gamma, beta, rm, rv = self._state(1)
+        x = Tensor(np.array([-1e200, 1e200]).reshape(2, 1, 1, 1))
+        with pytest.raises(ContractError), np.errstate(over="ignore"):
+            batch_norm(x, gamma, beta, rm, rv, train=True)
+        assert rm[0] == 0.0 and rv[0] == 1.0
 
     def test_gradients_train_mode(self):
         x = Tensor(rand((3, 2, 3, 3), 31), requires_grad=True)

@@ -1,6 +1,7 @@
 """Tensor core: construction, autodiff semantics, serialization."""
 
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hcfnet.tensor import (
     observe,
     pad2d,
     permute_channels,
+    record,
     relu,
     reshape,
     sigmoid,
@@ -135,6 +137,24 @@ class TestBackward:
         loss = tsum(mul(x, x))
         backward(loss)
         assert tape_length() == 0
+
+    def test_swept_node_output_released_during_sweep(self):
+        seen = {}
+
+        def build():
+            x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
+
+            def probe_bw(g):
+                seen["alive"] = seen["ref"]() is not None
+                return (g,)
+
+            first = record("probe", (x,), x.data.copy(), probe_bw)
+            mid = mul(first, 2.0)
+            seen["ref"] = weakref.ref(mid.data)
+            return tsum(mul(mid, mid))
+
+        backward(build())
+        assert seen["alive"] is False
 
     def test_no_grad_suppresses_recording(self):
         x = Tensor([1.0], requires_grad=True)
