@@ -1,22 +1,24 @@
 """Binary checkpoint format for networks and optimizer state.
 
 Layout (little-endian): magic ``HCFC``, u32 format version, one JSON frame
-holding the network config, the named parameter blobs, the named batch-norm
-buffers, and an optional optimizer section (JSON frame with step/hyper/meta
-plus first and second moment blobs per parameter).  Frames are u32 length
-prefixes; tensors use the ``HCFT`` blob format, so float64 payloads round-trip
-bitwise.
+holding the network config, the parameter table, the batch-norm buffer
+table, and an optional optimizer section (JSON frame with step/hyper/meta
+plus the moment table).  Frames are u32 length prefixes.  A table is a u32
+row count, then per row a name frame and one ``HCFT`` blob frame per array:
+one for parameters and buffers, two (first then second moment) for the
+moments, which are sorted by name.  Names are unique within a table.  The
+``HCFT`` blobs round-trip float64 payloads bitwise.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError
+from .errors import ConfigError, ContractError, FileFormatError
 from .network import Network, NetworkConfig
 from .optim import check_hyper
 from .tensor import tensor_from_bytes, tensor_to_bytes
@@ -32,18 +34,23 @@ def _write_frame(fh: BinaryIO, payload: bytes) -> None:
     fh.write(payload)
 
 
-def _write_named_blobs(fh: BinaryIO, items: list[tuple[str, np.ndarray]]) -> None:
-    fh.write(struct.pack("<I", len(items)))
-    for name, array in items:
+def _write_table(fh: BinaryIO, rows: list[tuple[str, tuple[np.ndarray, ...]]]) -> None:
+    fh.write(struct.pack("<I", len(rows)))
+    for name, arrays in rows:
         _write_frame(fh, name.encode("utf-8"))
-        _write_frame(fh, tensor_to_bytes(array))
+        for array in arrays:
+            _write_frame(fh, tensor_to_bytes(array))
+
+
+def _read_u32(fh: BinaryIO, where: str) -> int:
+    raw = fh.read(4)
+    if len(raw) != 4:
+        raise FileFormatError(f"checkpoint truncated {where}")
+    return struct.unpack("<I", raw)[0]
 
 
 def _read_frame(fh: BinaryIO) -> bytes:
-    header = fh.read(4)
-    if len(header) != 4:
-        raise FileFormatError("checkpoint truncated inside a frame header")
-    (length,) = struct.unpack("<I", header)
+    length = _read_u32(fh, "inside a frame header")
     payload = fh.read(length)
     if len(payload) != length:
         raise FileFormatError("checkpoint truncated inside a frame payload")
@@ -64,15 +71,13 @@ def _read_json(fh: BinaryIO, what: str):
         raise FileFormatError(f"checkpoint {what} is not valid JSON") from exc
 
 
-def _read_named_blobs(fh: BinaryIO) -> dict[str, np.ndarray]:
-    header = fh.read(4)
-    if len(header) != 4:
-        raise FileFormatError("checkpoint truncated before a blob table")
-    (count,) = struct.unpack("<I", header)
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = _read_text(fh, "blob name")
-        out[name] = tensor_from_bytes(_read_frame(fh)).data
+def _read_table(fh: BinaryIO, what: str, width: int) -> dict[str, tuple[np.ndarray, ...]]:
+    out: dict[str, tuple[np.ndarray, ...]] = {}
+    for _ in range(_read_u32(fh, f"before the {what} table")):
+        name = _read_text(fh, f"{what} name")
+        if name in out:
+            raise FileFormatError(f"checkpoint {what} table repeats the name '{name}'")
+        out[name] = tuple(tensor_from_bytes(_read_frame(fh)).data for _ in range(width))
     return out
 
 
@@ -83,30 +88,30 @@ def save_checkpoint(
     optimizer_state: dict | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Serialize config, parameters, running stats and optional training state."""
+    """Serialize config, parameters, running stats and optional training state.
+
+    ``meta`` is stored in the optimizer section, so it needs ``optimizer_state``.
+    """
+    if meta is not None and optimizer_state is None:
+        raise ContractError("checkpoint meta is stored with the optimizer state, which is missing")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         _write_frame(fh, json.dumps(network.config.to_dict(), sort_keys=True).encode("utf-8"))
-        _write_named_blobs(fh, [(n, p.data) for n, p in network.named_parameters()])
-        _write_named_blobs(fh, list(network.named_buffers()))
+        _write_table(fh, [(n, (p.data,)) for n, p in network.named_parameters()])
+        _write_table(fh, [(n, (b,)) for n, b in network.named_buffers()])
         if optimizer_state is None:
             fh.write(struct.pack("<B", 0))
         else:
             fh.write(struct.pack("<B", 1))
             header = {
                 "step": optimizer_state["step"],
-                "hyper": optimizer_state.get("hyper", {}),
+                "hyper": optimizer_state["hyper"],
                 "meta": meta or {},
             }
             _write_frame(fh, json.dumps(header, sort_keys=True).encode("utf-8"))
             moments = optimizer_state["moments"]
-            fh.write(struct.pack("<I", len(moments)))
-            for name in sorted(moments):
-                m, v = moments[name]
-                _write_frame(fh, name.encode("utf-8"))
-                _write_frame(fh, tensor_to_bytes(m))
-                _write_frame(fh, tensor_to_bytes(v))
+            _write_table(fh, [(n, moments[n]) for n in sorted(moments)])
 
 
 def load_checkpoint(path: str) -> dict:
@@ -115,10 +120,7 @@ def load_checkpoint(path: str) -> dict:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise FileFormatError(f"not a checkpoint: magic {magic!r}")
-        version_raw = fh.read(4)
-        if len(version_raw) != 4:
-            raise FileFormatError("checkpoint truncated in header")
-        (version,) = struct.unpack("<I", version_raw)
+        version = _read_u32(fh, "in header")
         if version != _VERSION:
             raise FileFormatError(f"unsupported checkpoint version {version}")
         config_raw = _read_json(fh, "config frame")
@@ -126,8 +128,8 @@ def load_checkpoint(path: str) -> dict:
             config = NetworkConfig.from_dict(config_raw)
         except ConfigError as exc:
             raise FileFormatError(f"checkpoint config frame: {exc}") from exc
-        params = _read_named_blobs(fh)
-        buffers = _read_named_blobs(fh)
+        params = {name: array for name, (array,) in _read_table(fh, "parameter", 1).items()}
+        buffers = {name: array for name, (array,) in _read_table(fh, "buffer", 1).items()}
         flag = fh.read(1)
         if len(flag) != 1:
             raise FileFormatError("checkpoint truncated before optimizer flag")
@@ -140,36 +142,26 @@ def load_checkpoint(path: str) -> dict:
             if not (
                 isinstance(header, dict)
                 and type(header.get("step")) is int
-                and isinstance(header.get("hyper", {}), dict)
-                and isinstance(header.get("meta", {}), dict)
+                and isinstance(header.get("hyper"), dict)
+                and isinstance(header.get("meta"), dict)
             ):
                 raise FileFormatError(
                     "checkpoint optimizer frame needs an integer step and object hyper/meta"
                 )
             try:
-                check_hyper(header.get("hyper", {}))
+                check_hyper(header["hyper"])
             except ConfigError as exc:
                 raise FileFormatError(f"checkpoint optimizer frame: {exc}") from exc
-            meta = header.get("meta", {})
+            meta = header["meta"]
             for key in ("epoch", "seed"):
                 if key in meta and not (type(meta[key]) is int and meta[key] >= 0):
                     raise FileFormatError(
                         f"checkpoint meta {key} must be a non-negative integer, got {meta[key]!r}"
                     )
-            count_raw = fh.read(4)
-            if len(count_raw) != 4:
-                raise FileFormatError("checkpoint truncated in optimizer table")
-            (count,) = struct.unpack("<I", count_raw)
-            moments = {}
-            for _ in range(count):
-                name = _read_text(fh, "moment name")
-                m = tensor_from_bytes(_read_frame(fh)).data
-                v = tensor_from_bytes(_read_frame(fh)).data
-                moments[name] = (m, v)
             optimizer_state = {
                 "step": header["step"],
-                "hyper": header.get("hyper", {}),
-                "moments": moments,
+                "hyper": header["hyper"],
+                "moments": _read_table(fh, "moment", 2),
             }
         if fh.read(1):
             raise FileFormatError("checkpoint has trailing bytes after its last section")
@@ -182,6 +174,24 @@ def load_checkpoint(path: str) -> dict:
     }
 
 
+def _match(named: Iterable[tuple[str, object]], stored: dict[str, np.ndarray], what: str) -> list:
+    """Pair the network's ``what`` entries with stored arrays of equal names and shapes."""
+    current = dict(named)
+    if set(current) != set(stored):
+        missing = sorted(set(current) - set(stored))
+        extra = sorted(set(stored) - set(current))
+        raise FileFormatError(
+            f"checkpoint {what} names do not match this config (missing {missing}, extra {extra})"
+        )
+    for name, target in current.items():
+        array = stored[name]
+        if array.shape != target.shape:
+            raise FileFormatError(
+                f"checkpoint {what} '{name}' has shape {array.shape}, expected {target.shape}"
+            )
+    return [(target, stored[name]) for name, target in current.items()]
+
+
 def restore_network(path: str) -> tuple[Network, dict]:
     """Rebuild the network a checkpoint describes and load its state.
 
@@ -189,24 +199,10 @@ def restore_network(path: str) -> tuple[Network, dict]:
     """
     snapshot = load_checkpoint(path)
     network = Network(snapshot["config"], seed=0)
-    stored = snapshot["params"]
-    names = {name for name, _ in network.named_parameters()}
-    if names != set(stored):
-        missing = sorted(names - set(stored))
-        extra = sorted(set(stored) - names)
-        raise FileFormatError(
-            f"parameter names do not match this config (missing {missing}, extra {extra})"
-        )
-    for name, param in network.named_parameters():
-        array = stored[name]
-        if array.shape != param.shape:
-            raise FileFormatError(
-                f"parameter '{name}' has shape {array.shape}, expected {param.shape}"
-            )
+    params = _match(network.named_parameters(), snapshot["params"], "parameter")
+    buffers = _match(network.named_buffers(), snapshot["buffers"], "buffer")
+    for param, array in params:
         param.data = array.copy()
-    buffer_names = {name for name, _ in network.named_buffers()}
-    if buffer_names != set(snapshot["buffers"]):
-        raise FileFormatError("buffer names do not match this config")
-    for name, array in snapshot["buffers"].items():
-        network.set_buffer(name, array)
+    for buffer, array in buffers:
+        buffer[...] = array
     return network, snapshot

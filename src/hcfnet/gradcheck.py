@@ -39,13 +39,6 @@ GRADCHECK_TOL = 1e-4
 _DENOM_FLOOR = 1e-4
 
 
-def _weighted_sum(outputs: list[Tensor], fields: list[Tensor]) -> Tensor:
-    total = tsum(mul(outputs[0], fields[0]))
-    for out, field in zip(outputs[1:], fields[1:]):
-        total = total + tsum(mul(out, field))
-    return total
-
-
 def _field_like(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
     return Tensor(rng.uniform(-1.0, 1.0, shape))
 
@@ -165,8 +158,9 @@ def check_gradients(
     return worst
 
 
-# The whole-network case samples pooled coordinates; exhaustive sweeps there
-# cost thousands of forward passes for no extra signal.
+# The whole-network case samples pooled coordinates (``max_coords`` lowers the
+# count); exhaustive sweeps there cost thousands of forward passes for no
+# extra signal.
 _NET_TOTAL_COORDS = 20
 
 
@@ -174,7 +168,8 @@ def run_case(name: str, *, max_coords: int | None = None) -> float:
     _check_max_coords(max_coords)
     fn, targets = build_case(name)
     if name == "net":
-        return check_gradients(fn, targets, total_coords=_NET_TOTAL_COORDS)
+        total = min(max_coords or _NET_TOTAL_COORDS, _NET_TOTAL_COORDS)
+        return check_gradients(fn, targets, total_coords=total)
     return check_gradients(fn, targets, max_coords=max_coords)
 
 

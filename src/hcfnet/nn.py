@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .ops import batch_norm, conv2d, conv_transpose2d
 from .tensor import Parameter, Tensor, matmul, mul
 
@@ -68,20 +68,6 @@ class Module:
             yield prefix + name, buf
         for name, child in self._children.items():
             yield from child.named_buffers(prefix + name + ".")
-
-    def set_buffer(self, name: str, array: np.ndarray) -> None:
-        """Overwrite a (possibly nested) buffer in place, preserving aliases."""
-        owner = self
-        parts = name.split(".")
-        for part in parts[:-1]:
-            owner = owner._children[part]
-        leaf = parts[-1]
-        if leaf not in owner._buffers:
-            raise ContractError(f"unknown buffer '{name}'")
-        target = owner._buffers[leaf]
-        if target.shape != array.shape:
-            raise ShapeError(f"buffer '{name}' shape {target.shape} != {array.shape}")
-        target[...] = array
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())

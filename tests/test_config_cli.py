@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcfnet.checkpoint import load_checkpoint, save_checkpoint
+from hcfnet import gradcheck
+from hcfnet.checkpoint import load_checkpoint, restore_network, save_checkpoint
 from hcfnet.cli import main
 from hcfnet.config import configs_from_mapping, load_configs, parse_kv_file
 from hcfnet.data import read_pgm
@@ -280,6 +281,15 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: max_coords must be at least 1, got {value}\n"
 
+    @pytest.mark.parametrize("max_coords,probed", [(None, 20), (2, 2), (50, 20)])
+    def test_gradcheck_net_honours_max_coords(self, monkeypatch, max_coords, probed):
+        seen = []
+        monkeypatch.setattr(
+            gradcheck, "check_gradients", lambda fn, targets, **kw: seen.append(kw) or 0.0
+        )
+        gradcheck.run_case("net", max_coords=max_coords)
+        assert seen == [{"total_coords": probed}]
+
     def test_unknown_key_is_contract_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("depth = 5\n")
@@ -332,6 +342,10 @@ class TestCliExitCodes:
             "trailing_bytes",
             "missing_step",
             "bad_optimizer_flag",
+            "buffer_shape",
+            "parameter_name_repeated",
+            "buffer_name_repeated",
+            "moment_name_repeated",
         ],
     )
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, case):
@@ -346,6 +360,20 @@ class TestCliExitCodes:
         (config_len,) = struct.unpack_from("<I", blob, 8)
         (header_len,) = struct.unpack_from("<I", blob, flag_at + 1)
         header_at = flag_at + 5
+
+        def frames_end(at, count):
+            for _ in range(count):
+                (length,) = struct.unpack_from("<I", blob, at)
+                at += 4 + length
+            return at
+
+        def repeat_first_row(table_at, width):
+            (count,) = struct.unpack_from("<I", blob, table_at)
+            first = blob[table_at + 4 : frames_end(table_at + 4, 1 + width)]
+            blob[table_at + 4 : table_at + 4] = first
+            struct.pack_into("<I", blob, table_at, count + 1)
+
+        params_at = 12 + config_len
         if case == "config_utf8":
             blob[12] = 0xFF
         elif case == "blob_name_utf8":
@@ -360,12 +388,24 @@ class TestCliExitCodes:
             frame = json.dumps(header, sort_keys=True).encode("utf-8")
             tail = blob[header_at + header_len :]
             blob = blob[: flag_at + 1] + struct.pack("<I", len(frame)) + frame + tail
-        else:
+        elif case == "bad_optimizer_flag":
             blob[flag_at] = 2
+        elif case == "buffer_shape":
+            network.encoders[0].bn.register_buffer("running_mean", np.zeros(3))
+            save_checkpoint(str(full), network, optimizer_state=state, meta={"epoch": 1})
+            blob = bytearray(full.read_bytes())
+        elif case == "parameter_name_repeated":
+            repeat_first_row(params_at, 1)
+        elif case == "buffer_name_repeated":
+            (n_params,) = struct.unpack_from("<I", blob, params_at)
+            repeat_first_row(frames_end(params_at + 4, 2 * n_params), 1)
+        else:
+            repeat_first_row(header_at + header_len, 2)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(blob))
         with pytest.raises(FileFormatError):
-            load_checkpoint(str(bad))
+            # A wrong shape is only known once the config's network is built.
+            (restore_network if case == "buffer_shape" else load_checkpoint)(str(bad))
         assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and "Traceback" not in err

@@ -1,16 +1,18 @@
 """Tests for network assembly: config validation, deterministic builds,
 forward contracts, parameter/MAC accounting and checkpoint persistence."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hcfnet.checkpoint import load_checkpoint, restore_network, save_checkpoint
-from hcfnet.errors import ConfigError, FileFormatError, ShapeError
+from hcfnet.errors import ConfigError, ContractError, FileFormatError, ShapeError
 from hcfnet.losses import deep_supervision_loss
 from hcfnet.network import DoubleConv, Network, NetworkConfig, build_network, count_params_macs
 from hcfnet.nn import Conv2d
+from hcfnet.optim import Adam
 from hcfnet.tensor import Parameter, Tensor, backward, mul, no_grad, tape_length, tsum
 
 
@@ -441,6 +443,22 @@ class TestCheckpoint:
         for name, (m, v) in snapshot["optimizer"]["moments"].items():
             np.testing.assert_array_equal(m, state["moments"][name][0])
             np.testing.assert_array_equal(v, state["moments"][name][1])
+
+    def test_format_bytes_pinned(self, tmp_path):
+        # Any change to the bytes on disk (a new format version included) must
+        # be deliberate: it changes this digest.
+        net = build_network(TOY_FULL, seed=0)
+        state = Adam(list(net.named_parameters())).state_dict()
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(str(path), net, optimizer_state=state, meta={"epoch": 1, "seed": 0})
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "c28a62477a0d04a885c5987f753cc0c121a3fd46cd9c73d5c3c0e4c50bd85db1"
+
+    def test_meta_without_optimizer_state_rejected(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        with pytest.raises(ContractError, match="meta"):
+            save_checkpoint(str(path), build_network(TOY_FULL, seed=0), meta={"epoch": 1})
+        assert not path.exists()
 
     def test_int_in_float_field_restores(self, tmp_path):
         config = NetworkConfig(stages=2, widths=(8, 8), dropout=0, loss_weights=(1, 0.5))
