@@ -195,12 +195,18 @@ def _match(named: Iterable[tuple[str, object]], stored: dict[str, np.ndarray], w
 def restore_network(path: str) -> tuple[Network, dict]:
     """Rebuild the network a checkpoint describes and load its state.
 
-    Returns the network plus the full parsed checkpoint dictionary.
+    Every stored parameter, buffer and Adam moment must match the rebuilt
+    network's names and shapes.  Returns the network plus the full parsed
+    checkpoint dictionary.
     """
     snapshot = load_checkpoint(path)
     network = Network(snapshot["config"], seed=0)
     params = _match(network.named_parameters(), snapshot["params"], "parameter")
     buffers = _match(network.named_buffers(), snapshot["buffers"], "buffer")
+    if snapshot["optimizer"] is not None:
+        moments = snapshot["optimizer"]["moments"]
+        for k, what in enumerate(("first moment", "second moment")):
+            _match(network.named_parameters(), {n: mv[k] for n, mv in moments.items()}, what)
     for param, array in params:
         param.data = array.copy()
     for buffer, array in buffers:

@@ -80,6 +80,8 @@ class DASI(Module):
             else current
         )
         fused = gated_fuse(current, fine_aligned, context_aligned)
-        return relu(self.bn(self.fuse(fused), train))
+        del fine_aligned, context_aligned
+        fused = self.fuse(fused)
+        return relu(self.bn(fused, train))
 
     __call__ = forward

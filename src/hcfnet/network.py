@@ -183,33 +183,47 @@ class Network(Module):
         self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None
     ) -> list[Tensor]:
         """Return one logit map per scale at full input resolution, finest
-        (stage 0) first; outputs are pre-sigmoid."""
+        (stage 0) first; outputs are pre-sigmoid.
+
+        Each map is dropped after its last use, so a no-grad forward holds
+        only the maps still to be read.  ``backward`` adds a tensor's
+        gradient terms in reverse tape order, and only the last two terms
+        of that sum commute, so only a tensor's last two consumers may
+        trade places: each decoder output goes to its head right after
+        ``ups`` reads it, which with MDCR off puts the top feature's head
+        ahead of its DASI block.
+        """
         self._check_input(x)
         stages = self.config.stages
         height, width = x.shape[2], x.shape[3]
-        feats: list[Tensor] = []
+        feats: list[Tensor | None] = []
         cur = x
         for s in range(stages):
-            feat = self.encoders[s](cur, train=train, rng=rng)
-            feats.append(feat)
+            feats.append(self.encoders[s](cur, train=train, rng=rng))
             if s < stages - 1:
-                cur = max_pool2d(feat)
-        top = feats[-1]
+                cur = max_pool2d(feats[s])
+        cur = feats[-1]
         if self.bottleneck is not None:
-            top = self.bottleneck(top, train=train)
-        decoded: list[Tensor] = [None] * stages  # type: ignore[list-item]
-        decoded[-1] = top
+            cur = self.bottleneck(cur, train=train)
+        logits: list[Tensor] = [None] * stages  # type: ignore[list-item]
         for s in range(stages - 2, -1, -1):
-            up = self.ups[s](decoded[s + 1])
-            if self.fusers is not None:
+            up = self.ups[s](cur)
+            logits[s + 1] = bilinear_resize(self.heads[s + 1](cur), height, width)
+            del cur
+            if self.fusers is None:
+                skip = feats[s]
+            else:
                 fine = feats[s - 1] if s > 0 else None
                 skip = self.fusers[s](feats[s], fine, feats[s + 1], train=train)
-            else:
-                skip = feats[s]
-            decoded[s] = self.decoders[s](concat([up, skip], 1), train=train, rng=rng)
-        return [
-            bilinear_resize(self.heads[s](decoded[s]), height, width) for s in range(stages)
-        ]
+            feats[s + 1] = None  # read last as this stage's context
+            if self.fusers is None or s == 0:
+                feats[s] = None  # no shallower DASI block reads it
+            merged = concat([up, skip], 1)
+            del up, skip
+            cur = self.decoders[s](merged, train=train, rng=rng)
+            del merged
+        logits[0] = bilinear_resize(self.heads[0](cur), height, width)
+        return logits
 
     __call__ = forward
 

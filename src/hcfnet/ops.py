@@ -221,13 +221,16 @@ def max_pool2d(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d needs even spatial extents, got {h}x{w}")
     oh, ow = h // 2, w // 2
-    windows = (
-        x.data.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
-    )
-    out = windows.max(axis=-1)
-    idx = windows.argmax(axis=-1)
+
+    def windows() -> np.ndarray:
+        return (
+            x.data.reshape(n, c, oh, 2, ow, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, oh, ow, 4)
+        )
 
     def bw(gout):
+        idx = windows().argmax(axis=-1)
         dwin = np.zeros((n, c, oh, ow, 4))
         np.put_along_axis(dwin, idx[..., None], gout[..., None], axis=-1)
         dx = (
@@ -237,7 +240,7 @@ def max_pool2d(x: Tensor) -> Tensor:
         )
         return (np.ascontiguousarray(dx),)
 
-    return record("max_pool2d", (x,), np.ascontiguousarray(out), bw)
+    return record("max_pool2d", (x,), np.ascontiguousarray(windows().max(axis=-1)), bw)
 
 
 def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:

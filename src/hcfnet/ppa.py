@@ -170,8 +170,9 @@ class PPA(Module):
     def serial_branch(self, projected: Tensor) -> Tensor:
         c1 = self.conv1(projected)
         c2 = self.conv2(c1)
-        c3 = self.conv3(c2)
-        return add(add(c1, c2), c3)
+        partial = add(c1, c2)
+        del c1
+        return add(partial, self.conv3(c2))
 
     def branch_sum(self, projected: Tensor) -> Tensor:
         return add(
@@ -181,8 +182,7 @@ class PPA(Module):
     def forward(
         self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None
     ) -> Tensor:
-        fused = self.branch_sum(self.proj(x))
-        attended = self.spatial_att(self.channel_att(fused))
+        attended = self.spatial_att(self.channel_att(self.branch_sum(self.proj(x))))
         regularized = dropout(attended, self.dropout_rate, train=train, rng=rng)
         return relu(self.bn(regularized, train))
 

@@ -36,7 +36,9 @@ def _check_shape(shape: tuple[int, ...]) -> None:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    # NaN propagates through min and max, and an infinity is one of them, so
+    # this is np.isfinite(arr).all() without a full-size boolean temporary.
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ContractError(f"non-finite values produced by '{op}'")
 
 
@@ -325,12 +327,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    pos = values >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-values[pos]))
-    ex = np.exp(values[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
+    # below.  Dividing in place holds only e and 1 + e at full size.
+    e = np.exp(-np.abs(values))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=values >= 0)
+    return e
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -410,13 +413,13 @@ def amax(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     out = x.data.max(axis=axis, keepdims=keepdims)
     if out.ndim == 0:
         out = out.reshape(1)
-    idx = x.data.argmax(axis=axis)
 
     def bw(g):
         if not keepdims:
             g = g.reshape(_kept_shape(x.shape, (axis,)))
         dx = np.zeros_like(x.data)
-        np.put_along_axis(dx, np.expand_dims(idx, axis), g, axis)
+        idx = np.expand_dims(x.data.argmax(axis=axis), axis)
+        np.put_along_axis(dx, idx, g, axis)
         return (dx,)
 
     return record("amax", (x,), out, bw)

@@ -153,6 +153,63 @@ def batch_norm_composed(x, gamma, beta, running_mean, running_var, momentum=0.1,
     return add(mul(norm, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
 
 
+def network_forward_composed(network, x, train=False, rng=None):
+    """``Network.forward`` in the op order it had while it kept every
+    feature map to the end: decoded maps in a list, all heads run last, and
+    each PPA summing its serial convs only after the third.
+
+    Like ``batch_norm_composed`` this reuses the package's modules on
+    purpose: the lifetime-trimmed forward must reproduce its logits,
+    running-buffer updates and gradients bit for bit.
+    """
+    from hcfnet.nn import dropout
+    from hcfnet.ops import bilinear_resize, max_pool2d
+    from hcfnet.ppa import PPA
+    from hcfnet.tensor import add, concat, relu
+
+    def block(module, inp):
+        if not isinstance(module, PPA):
+            return module(inp, train=train, rng=rng)
+        projected = module.proj(inp)
+
+        def serial_branch():
+            c1 = module.conv1(projected)
+            c2 = module.conv2(c1)
+            c3 = module.conv3(c2)
+            return add(add(c1, c2), c3)
+
+        fused = add(add(module.local(projected), module.wide(projected)), serial_branch())
+        attended = module.spatial_att(module.channel_att(fused))
+        regularized = dropout(attended, module.dropout_rate, train=train, rng=rng)
+        return relu(module.bn(regularized, train))
+
+    stages = network.config.stages
+    height, width = x.shape[2], x.shape[3]
+    feats = []
+    cur = x
+    for s in range(stages):
+        feat = block(network.encoders[s], cur)
+        feats.append(feat)
+        if s < stages - 1:
+            cur = max_pool2d(feat)
+    top = feats[-1]
+    if network.bottleneck is not None:
+        top = network.bottleneck(top, train=train)
+    decoded = [None] * stages
+    decoded[-1] = top
+    for s in range(stages - 2, -1, -1):
+        up = network.ups[s](decoded[s + 1])
+        if network.fusers is not None:
+            fine = feats[s - 1] if s > 0 else None
+            skip = network.fusers[s](feats[s], fine, feats[s + 1], train=train)
+        else:
+            skip = feats[s]
+        decoded[s] = block(network.decoders[s], concat([up, skip], 1))
+    return [
+        bilinear_resize(network.heads[s](decoded[s]), height, width) for s in range(stages)
+    ]
+
+
 def batch_norm_eval_naive(x, gamma, beta, running_mean, running_var, eps=1e-5):
     out = np.zeros_like(x)
     for c in range(x.shape[1]):

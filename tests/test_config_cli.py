@@ -346,6 +346,8 @@ class TestCliExitCodes:
             "parameter_name_repeated",
             "buffer_name_repeated",
             "moment_name_repeated",
+            "moment_missing",
+            "moment_shape",
         ],
     )
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, case):
@@ -394,6 +396,14 @@ class TestCliExitCodes:
             network.encoders[0].bn.register_buffer("running_mean", np.zeros(3))
             save_checkpoint(str(full), network, optimizer_state=state, meta={"epoch": 1})
             blob = bytearray(full.read_bytes())
+        elif case in ("moment_missing", "moment_shape"):
+            first = next(iter(state["moments"]))
+            if case == "moment_missing":
+                del state["moments"][first]
+            else:
+                state["moments"][first] = (np.zeros(3), state["moments"][first][1])
+            save_checkpoint(str(full), network, optimizer_state=state, meta={"epoch": 1})
+            blob = bytearray(full.read_bytes())
         elif case == "parameter_name_repeated":
             repeat_first_row(params_at, 1)
         elif case == "buffer_name_repeated":
@@ -403,9 +413,10 @@ class TestCliExitCodes:
             repeat_first_row(header_at + header_len, 2)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(blob))
+        # Names and shapes are only known once the config's network is built.
+        checked_on_restore = ("buffer_shape", "moment_missing", "moment_shape")
         with pytest.raises(FileFormatError):
-            # A wrong shape is only known once the config's network is built.
-            (restore_network if case == "buffer_shape" else load_checkpoint)(str(bad))
+            (restore_network if case in checked_on_restore else load_checkpoint)(str(bad))
         assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and "Traceback" not in err

@@ -14,6 +14,7 @@ from hcfnet.network import DoubleConv, Network, NetworkConfig, build_network, co
 from hcfnet.nn import Conv2d
 from hcfnet.optim import Adam
 from hcfnet.tensor import Parameter, Tensor, backward, mul, no_grad, tape_length, tsum
+from reference import network_forward_composed
 
 
 def rng(seed):
@@ -405,6 +406,59 @@ class TestCounting:
         assert all(np.array_equal(a, p.data) for a, p in zip(params, net.parameters()))
         assert all(np.array_equal(a, b) for a, (_, b) in zip(buffers, net.named_buffers()))
         backward(tsum(pending))
+
+
+class TestForwardLifetimes:
+    """The forward drops each map after its last use; that must change
+    neither its op order where it matters nor any result."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            NetworkConfig(),
+            NetworkConfig(use_ppa=False),
+            NetworkConfig(use_dasi=False),
+            NetworkConfig(use_mdcr=False),
+            THREE_STAGE,
+        ],
+        ids=["default", "no_ppa", "no_dasi", "no_mdcr", "three_stage"],
+    )
+    def test_bitwise_equal_to_composition(self, config):
+        images = rng(40).uniform(size=(2, config.in_channels, 32, 32))
+        masks = Tensor((rng(41).uniform(size=(2, 1, 32, 32)) > 0.8).astype(np.float64))
+
+        def run(forward):
+            net = build_network(config, seed=42)
+            logits = forward(net, Tensor(images), train=True, rng=rng(43))
+            backward(deep_supervision_loss(logits, masks, config.loss_weights))
+            with no_grad():
+                evaluated = forward(net, Tensor(images), train=False)
+            return (
+                [t.data for t in logits + evaluated],
+                [p.grad for p in net.parameters()],
+                [b for _, b in net.named_buffers()],
+            )
+
+        trimmed, composed = run(Network.forward), run(network_forward_composed)
+        assert all(g is not None for g in trimmed[1])
+        for got, want in zip(trimmed, composed):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_no_grad_peak_at_256(self):
+        # Holding every map to the end of the forward peaks at 112 MiB;
+        # dropping each after its last read, near 70 MiB.
+        net = build_network(NetworkConfig(), seed=0)
+        image = Tensor(rng(44).uniform(size=(1, 1, 256, 256)))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                net(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 80 << 20, f"no-grad forward peak {(peak - held) / 2**20:.1f} MiB"
 
 
 class TestCheckpoint:
