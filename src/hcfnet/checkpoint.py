@@ -71,13 +71,21 @@ def _read_json(fh: BinaryIO, what: str):
         raise FileFormatError(f"checkpoint {what} is not valid JSON") from exc
 
 
+def _read_array(fh: BinaryIO, what: str, name: str) -> np.ndarray:
+    blob = _read_frame(fh)
+    try:
+        return tensor_from_bytes(blob).data
+    except FileFormatError as exc:
+        raise FileFormatError(f"checkpoint {what} '{name}': {exc}") from exc
+
+
 def _read_table(fh: BinaryIO, what: str, width: int) -> dict[str, tuple[np.ndarray, ...]]:
     out: dict[str, tuple[np.ndarray, ...]] = {}
     for _ in range(_read_u32(fh, f"before the {what} table")):
         name = _read_text(fh, f"{what} name")
         if name in out:
             raise FileFormatError(f"checkpoint {what} table repeats the name '{name}'")
-        out[name] = tuple(tensor_from_bytes(_read_frame(fh)).data for _ in range(width))
+        out[name] = tuple(_read_array(fh, what, name) for _ in range(width))
     return out
 
 

@@ -130,6 +130,9 @@ def write_pgm(path: str, values: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+_PGM_FIELD = re.compile(rb"\s*(?:#[^\n]*\n)*\s*(\d+)")
+
+
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary PGM (P5, maxval <= 255) into a 2-D uint8 array."""
     with open(path, "rb") as fh:
@@ -138,19 +141,26 @@ def read_pgm(path: str) -> np.ndarray:
         raise FileFormatError(f"{path}: not a binary PGM (P5) file")
     pos, fields = 2, []
     while len(fields) < 3:
-        match = re.compile(rb"\s*(?:#[^\n]*\n)*\s*(\d+)").match(blob, pos)
-        if match is None:
+        match = _PGM_FIELD.match(blob, pos)
+        if match is None or len(match.group(1)) > 9:
             raise FileFormatError(f"{path}: malformed PGM header")
         fields.append(int(match.group(1)))
         pos = match.end()
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise FileFormatError(f"{path}: PGM extents must be positive, got {width}x{height}")
     if not 0 < maxval <= 255:
         raise FileFormatError(f"{path}: unsupported PGM maxval {maxval}")
+    if not blob[pos : pos + 1].isspace():
+        raise FileFormatError(f"{path}: malformed PGM header")
     pos += 1  # single whitespace byte after maxval
     payload = blob[pos : pos + width * height]
     if len(payload) != width * height:
         raise FileFormatError(f"{path}: truncated PGM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    image = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    if image.max() > maxval:
+        raise FileFormatError(f"{path}: PGM sample {image.max()} exceeds maxval {maxval}")
+    return image.copy()
 
 
 def save_dataset(samples: list[Sample], directory: str) -> None:

@@ -92,10 +92,10 @@ def conv2d(
     positions = oh * ow
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
 
-    def padded() -> np.ndarray:
+    def padded(xd: np.ndarray) -> np.ndarray:
         if not padding:
-            return x.data
-        return np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            return xd
+        return np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
     def columns(xp: np.ndarray, rows: range) -> np.ndarray:
         if pointwise:
@@ -108,7 +108,7 @@ def conv2d(
     outm = out.reshape(n, groups, o_per_g, positions)
     band = oh if pointwise else max(1, _BAND_BYTES // (n * c * kh * kw * ow * 8))
     bands = [range(r0, min(r0 + band, oh)) for r0 in range(0, oh, band)]
-    xp = padded()
+    xp = padded(x.data)
     for rows in bands:
         np.matmul(w2, columns(xp, rows), out=outm[..., rows.start * ow : rows.stop * ow])
     if bias is not None:
@@ -139,20 +139,22 @@ def conv2d(
             dxp = dxp[:, :, padding : padding + h, padding : padding + w]
         return np.ascontiguousarray(dxp)
 
+    x_grad = x.requires_grad
+    x_saved = x.data if weight.requires_grad else None  # read by the weight gradient
+    w_shape = weight.shape
+    has_bias = bias is not None
+    b_grad = has_bias and bias.requires_grad
+
     def bw(gout):
         g4 = gout.reshape(n, groups, o_per_g, positions)
-        grad_w = grad_b = grad_x = None
-        if x.requires_grad:
-            grad_x = grad_input(g4)
-        if weight.requires_grad:
-            colm = columns(padded(), range(oh))
-            grad_w = np.matmul(g4, colm.swapaxes(2, 3)).sum(axis=0).reshape(weight.shape)
-        if bias is not None and bias.requires_grad:
-            grad_b = gout.sum(axis=(0, 2, 3))
-        grads = [grad_x, grad_w]
-        if bias is not None:
-            grads.append(grad_b)
-        return tuple(grads)
+        grad_x = grad_input(g4) if x_grad else None
+        grad_w = None
+        if x_saved is not None:
+            colm = columns(padded(x_saved), range(oh))
+            grad_w = np.matmul(g4, colm.swapaxes(2, 3)).sum(axis=0).reshape(w_shape)
+        if not has_bias:
+            return grad_x, grad_w
+        return grad_x, grad_w, (gout.sum(axis=(0, 2, 3)) if b_grad else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return record("conv2d", inputs, out, bw)
@@ -188,25 +190,28 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
     if bias is not None:
         out += bias.data.reshape(1, out_c, 1, 1)
 
+    x_grad = x.requires_grad
+    xm_saved = xm if weight.requires_grad else None  # read by the weight gradient
+    w_shape = weight.shape
+    has_bias = bias is not None
+    b_grad = has_bias and bias.requires_grad
+
     def bw(gout):
         gm = (
             gout.reshape(n, out_c, h, 2, w, 2)
             .transpose(0, 2, 4, 1, 3, 5)
             .reshape(n, positions, out_c * 4)
         )
-        grad_x = grad_w = grad_b = None
-        if x.requires_grad:
+        grad_x = grad_w = None
+        if x_grad:
             grad_x = np.ascontiguousarray(
                 np.matmul(gm, w2.T).transpose(0, 2, 1).reshape(n, c, h, w)
             )
-        if weight.requires_grad:
-            grad_w = np.matmul(xm.swapaxes(1, 2), gm).sum(axis=0).reshape(weight.shape)
-        if bias is not None and bias.requires_grad:
-            grad_b = gout.sum(axis=(0, 2, 3))
-        grads = [grad_x, grad_w]
-        if bias is not None:
-            grads.append(grad_b)
-        return tuple(grads)
+        if xm_saved is not None:
+            grad_w = np.matmul(xm_saved.swapaxes(1, 2), gm).sum(axis=0).reshape(w_shape)
+        if not has_bias:
+            return grad_x, grad_w
+        return grad_x, grad_w, (gout.sum(axis=(0, 2, 3)) if b_grad else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return record("conv_transpose2d", inputs, out, bw)
@@ -221,10 +226,11 @@ def max_pool2d(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d needs even spatial extents, got {h}x{w}")
     oh, ow = h // 2, w // 2
+    xd = x.data
 
     def windows() -> np.ndarray:
         return (
-            x.data.reshape(n, c, oh, 2, ow, 2)
+            xd.reshape(n, c, oh, 2, ow, 2)
             .transpose(0, 1, 2, 4, 3, 5)
             .reshape(n, c, oh, ow, 4)
         )
@@ -385,15 +391,16 @@ def batch_norm(
     running_mean += _BN_MOMENTUM * mu.reshape(c)
     running_var *= 1.0 - _BN_MOMENTUM
     running_var += _BN_MOMENTUM * batch_var
+    xd, x_grad = x.data, x.requires_grad
 
     def bw(g):
         # Replays the tape of mean, sub, mul, mean, add-eps, sqrt, div, scale
         # and shift in reverse with the same groupings, so the gradients equal
         # that composition's bit for bit when this op is x's only consumer.
-        centered = x.data - mu
+        centered = xd - mu
         grad_beta = _unbroadcast(g, chan).reshape(c)
         grad_gamma = _unbroadcast(g * (centered / s), chan).reshape(c)
-        if not x.requires_grad:
+        if not x_grad:
             return None, grad_gamma, grad_beta
         g_norm = g * g4
         g_s = _unbroadcast(-g_norm * centered / (s * s), chan)
@@ -416,18 +423,20 @@ def channel_conv1d(x: Tensor, weight: Tensor) -> Tensor:
     n, c = x.shape
     pad = (k - 1) // 2
     xp = np.pad(x.data, ((0, 0), (pad, pad)))
+    wd = weight.data
     out = np.zeros((n, c))
     for u in range(k):
-        out += weight.data[u] * xp[:, u : u + c]
+        out += wd[u] * xp[:, u : u + c]
+    x_grad, w_grad = x.requires_grad, weight.requires_grad
 
     def bw(gout):
         grad_x = grad_w = None
-        if weight.requires_grad:
+        if w_grad:
             grad_w = np.array([(gout * xp[:, u : u + c]).sum() for u in range(k)])
-        if x.requires_grad:
+        if x_grad:
             dxp = np.zeros_like(xp)
             for u in range(k):
-                dxp[:, u : u + c] += weight.data[u] * gout
+                dxp[:, u : u + c] += wd[u] * gout
             grad_x = np.ascontiguousarray(dxp[:, pad : pad + c])
         return grad_x, grad_w
 

@@ -6,10 +6,18 @@ only after its inputs exist means the tape is already topologically ordered,
 so ``backward`` is a single reverse sweep that accumulates gradients into the
 reachable leaves.  Gradients keep accumulating across ``backward`` calls until
 ``zero_grads`` clears them.
+
+The tape holds arrays, not tensors.  A record names its output by an integer
+key and each input by its key, or by the tensor itself for a leaf that needs
+a gradient; its backward closure keeps only the arrays that backward reads
+(shapes and flags aside), so an activation nobody reads is freed as soon as
+the forward drops it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -35,32 +43,42 @@ def _check_shape(shape: tuple[int, ...]) -> None:
         raise ShapeError(f"extents must be positive, got shape {shape}")
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    # NaN propagates through min and max, and an infinity is one of them, so
-    # this is np.isfinite(arr).all() without a full-size boolean temporary.
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ContractError(f"non-finite values produced by '{op}'")
+def _all_finite(arr: np.ndarray) -> bool:
+    """np.isfinite(arr).all() in one pass without a full-size temporary.
+
+    A NaN or infinity makes the sum non-finite, so a finite sum settles it;
+    only a sum that overflows needs the exact min/max test.
+    """
+    return bool(
+        np.isfinite(arr.sum()) or (np.isfinite(arr.min()) and np.isfinite(arr.max()))
+    )
 
 
 class Tensor:
     """Immutable float64 array plus gradient slot.
 
     ``data`` is owned by the tensor and must not be mutated while a recorded
-    graph that references it is still alive.  ``grad`` stays ``None`` until a
-    backward pass deposits into it.
+    graph may have saved it.  ``grad`` stays ``None`` until a backward pass
+    deposits into it.  ``key`` is ``None`` for a leaf; a tensor produced on
+    the tape carries its record's key there, never the record itself, so
+    holding an output does not keep the graph's saved arrays alive.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = _as_array(values)
         _check_shape(arr.shape)
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise DomainError("tensor values must be finite")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.is_leaf = True
+        self.key: int | None = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.key is None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,16 +138,21 @@ class Parameter(Tensor):
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+    """One tape record: the op, its output's key, one grad target per input
+    (the input's key if it came off the tape, the tensor if it is a leaf
+    that needs a gradient, else ``None``) and the backward closure."""
 
-    def __init__(self, op, inputs, output, backward_fn):
+    __slots__ = ("op", "key", "targets", "backward_fn")
+
+    def __init__(self, op, key, targets, backward_fn):
         self.op = op
-        self.inputs = inputs
-        self.output = output
+        self.key = key
+        self.targets = targets
         self.backward_fn = backward_fn
 
 
 _TAPE: list[_Node] = []
+_KEYS = itertools.count()
 _RECORDING = True
 _OBSERVER: Callable[[str, Sequence[Tensor], Tensor], None] | None = None
 
@@ -176,19 +199,24 @@ def record(
     """Wrap ``out_data`` in a tensor, appending a tape record when needed.
 
     ``backward_fn`` maps the output gradient to one gradient (or ``None``)
-    per input, in order.
+    per input, in order.  The record keeps ``backward_fn`` and no tensor but
+    the leaves it deposits into, so the closure must capture only the arrays
+    its backward reads, never an input or output tensor.
     """
-    _check_finite(out_data, op)
+    if not _all_finite(out_data):
+        raise ContractError(f"non-finite values produced by '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
+    out.key = None
+    out.requires_grad = False
     if _RECORDING and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.is_leaf = False
-        _TAPE.append(_Node(op, tuple(inputs), out, backward_fn))
-    else:
-        out.requires_grad = False
-        out.is_leaf = True
+        out.key = next(_KEYS)
+        targets = tuple(
+            t.key if t.key is not None else (t if t.requires_grad else None) for t in inputs
+        )
+        _TAPE.append(_Node(op, out.key, targets, backward_fn))
     if _OBSERVER is not None:
         _OBSERVER(op, inputs, out)
     return out
@@ -197,43 +225,42 @@ def record(
 def backward(loss: Tensor) -> None:
     """Reverse sweep from ``loss``; accumulates into reachable leaf ``grad``s.
 
-    Consumes the tape: each record is popped as the sweep reaches it, so a
-    node's output and its backward closure are released as soon as no
-    earlier node still refers to them, and all records are gone afterwards.
+    Gradients are keyed by grad target, and each is summed in reverse tape
+    order.  Consumes the tape: each record is popped as the sweep reaches
+    it, so the arrays its closure saved are released as soon as it has run,
+    and all records are gone afterwards.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss.is_leaf:
         clear_tape()
         raise ContractError("loss tensor was not produced on the tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    owners: dict[int, Tensor] = {id(loss): loss}
+    grads: dict[int | Tensor, np.ndarray] = {loss.key: np.ones_like(loss.data)}
     found = False
     try:
         while _TAPE:
             node = _TAPE.pop()
-            gout = grads.pop(id(node.output), None)
+            gout = grads.pop(node.key, None)
             if gout is None:
                 continue
-            if node.output is loss:
-                found = True
-            owners.pop(id(node.output), None)
-            input_grads = node.backward_fn(gout)
-            for inp, gin in zip(node.inputs, input_grads):
-                if gin is None or not inp.requires_grad:
-                    continue
-                key = id(inp)
-                held = grads.get(key)
-                grads[key] = gin if held is None else held + gin
-                owners[key] = inp
+            found = found or node.key == loss.key
+            _deposit(grads, node.targets, node.backward_fn(gout))
         if not found:
             raise ContractError("loss tensor was not produced on the tape")
-        for key, g in grads.items():
-            leaf = owners[key]
-            if leaf.is_leaf and leaf.requires_grad:
-                leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+        for target, g in grads.items():
+            if isinstance(target, Tensor):
+                target.grad = g.copy() if target.grad is None else target.grad + g
     finally:
         clear_tape()
+
+
+def _deposit(grads: dict, targets: tuple, input_grads: tuple) -> None:
+    # A function of its own, so no input gradient outlives this call in a
+    # local of the sweep while the next node's backward runs.
+    for target, gin in zip(targets, input_grads):
+        if gin is not None and target is not None:
+            held = grads.get(target)
+            grads[target] = gin if held is None else held + gin
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -274,9 +301,10 @@ def _broadcast_check(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "add")
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return record("add", (a, b), a.data + b.data, bw)
 
@@ -284,9 +312,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "sub")
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return record("sub", (a, b), a.data - b.data, bw)
 
@@ -294,10 +323,14 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "mul")
+    a_shape, b_shape = a.shape, b.shape
+    # Each operand's gradient reads the other operand.
+    b_data = b.data if a.requires_grad else None
+    a_data = a.data if b.requires_grad else None
 
     def bw(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * b_data, a_shape) if b_data is not None else None
+        gb = _unbroadcast(g * a_data, b_shape) if a_data is not None else None
         return ga, gb
 
     return record("mul", (a, b), a.data * b.data, bw)
@@ -306,12 +339,16 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "div")
+    a_shape, b_shape = a.shape, b.shape
+    a_grad = a.requires_grad
+    b_data = b.data
+    a_data = a.data if b.requires_grad else None
 
     def bw(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        ga = _unbroadcast(g / b_data, a_shape) if a_grad else None
         gb = (
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-            if b.requires_grad
+            _unbroadcast(-g * a_data / (b_data * b_data), b_shape)
+            if a_data is not None
             else None
         )
         return ga, gb
@@ -320,10 +357,13 @@ def div(a, b) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    def bw(g):
-        return ((x.data > 0) * g,)
+    y = np.maximum(x.data, 0.0)
 
-    return record("relu", (x,), np.maximum(x.data, 0.0), bw)
+    def bw(g):
+        # y > 0 exactly where x > 0, so the output alone gives the mask.
+        return ((y > 0) * g,)
+
+    return record("relu", (x,), y, bw)
 
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:
@@ -347,11 +387,12 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)) evaluated without overflow at large |x|."""
+    xd = x.data
 
     def bw(g):
-        return (g * _sigmoid(x.data),)
+        return (g * _sigmoid(xd),)
 
-    return record("softplus", (x,), np.logaddexp(0.0, x.data), bw)
+    return record("softplus", (x,), np.logaddexp(0.0, xd), bw)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -376,29 +417,31 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, x.data.ndim)
+    shape = x.shape
     out = x.data.sum(axis=axes, keepdims=keepdims)
     if out.ndim == 0:
         out = out.reshape(1)
 
     def bw(g):
         if not keepdims:
-            g = g.reshape(_kept_shape(x.shape, axes))
-        return (np.broadcast_to(g, x.shape).copy(),)
+            g = g.reshape(_kept_shape(shape, axes))
+        return (np.broadcast_to(g, shape).copy(),)
 
     return record("sum", (x,), out, bw)
 
 
 def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, x.data.ndim)
-    count = int(np.prod([x.shape[a] for a in axes]))
+    shape = x.shape
+    count = int(np.prod([shape[a] for a in axes]))
     out = x.data.mean(axis=axes, keepdims=keepdims)
     if out.ndim == 0:
         out = out.reshape(1)
 
     def bw(g):
         if not keepdims:
-            g = g.reshape(_kept_shape(x.shape, axes))
-        return (np.broadcast_to(g / count, x.shape).copy(),)
+            g = g.reshape(_kept_shape(shape, axes))
+        return (np.broadcast_to(g / count, shape).copy(),)
 
     return record("mean", (x,), out, bw)
 
@@ -409,16 +452,17 @@ def _kept_shape(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...
 
 def amax(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; ties route the gradient to the first occurrence."""
-    axis = axis % x.data.ndim
-    out = x.data.max(axis=axis, keepdims=keepdims)
+    xd = x.data
+    axis = axis % xd.ndim
+    out = xd.max(axis=axis, keepdims=keepdims)
     if out.ndim == 0:
         out = out.reshape(1)
 
     def bw(g):
         if not keepdims:
-            g = g.reshape(_kept_shape(x.shape, (axis,)))
-        dx = np.zeros_like(x.data)
-        idx = np.expand_dims(x.data.argmax(axis=axis), axis)
+            g = g.reshape(_kept_shape(xd.shape, (axis,)))
+        dx = np.zeros_like(xd)
+        idx = np.expand_dims(xd.argmax(axis=axis), axis)
         np.put_along_axis(dx, idx, g, axis)
         return (dx,)
 
@@ -433,9 +477,10 @@ def reshape(x: Tensor, shape) -> Tensor:
     _check_shape(shape)
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
+    in_shape = x.shape
 
     def bw(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(in_shape),)
 
     return record("reshape", (x,), x.data.reshape(shape), bw)
 
@@ -464,7 +509,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             np.ascontiguousarray(
                 np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
             )
-            for i in range(len(tensors))
+            for i in range(len(sizes))
         )
 
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -481,9 +526,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
+    shape = x.shape
 
     def bw(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape)
         dx[index] = g
         return (dx,)
 
@@ -510,9 +556,9 @@ def pad2d(x: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
     if min(top, bottom, left, right) < 0:
         raise ShapeError("pad amounts must be non-negative")
     widths = ((0, 0), (0, 0), (top, bottom), (left, right))
+    h, w = x.shape[2], x.shape[3]
 
     def bw(g):
-        h, w = x.shape[2], x.shape[3]
         return (np.ascontiguousarray(g[:, :, top : top + h, left : left + w]),)
 
     return record("pad2d", (x,), np.pad(x.data, widths), bw)
@@ -524,13 +570,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul operands need rank >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
+    a_shape, b_shape = a.shape, b.shape
+    # Each operand's gradient reads the other operand.
+    b_data = b.data if a.requires_grad else None
+    a_data = a.data if b.requires_grad else None
 
     def bw(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
+        if b_data is not None:
+            ga = _unbroadcast(np.matmul(g, b_data.swapaxes(-1, -2)), a_shape)
+        if a_data is not None:
+            gb = _unbroadcast(np.matmul(a_data.swapaxes(-1, -2), g), b_shape)
         return ga, gb
 
     return record("matmul", (a, b), np.matmul(a.data, b.data), bw)
@@ -562,9 +612,12 @@ def tensor_from_bytes(blob: bytes) -> Tensor:
     shape = struct.unpack_from(f"<{rank}I", blob, 8)
     if 0 in shape:
         raise FileFormatError(f"bad tensor blob: zero extent in shape {shape}")
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # exact: four u32 extents overflow int64
     if len(blob) != need + 8 * count:
         raise FileFormatError("bad tensor blob: payload size mismatch")
     data = np.frombuffer(blob, dtype="<f8", count=count, offset=need)
-    return Tensor(data.reshape(shape).astype(np.float64))
+    data = data.reshape(shape).astype(np.float64)
+    if not _all_finite(data):
+        raise FileFormatError("bad tensor blob: non-finite values")
+    return Tensor(data)
 

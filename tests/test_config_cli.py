@@ -217,6 +217,17 @@ class TestCliTrainEvalInfer:
         assert probs.shape == (16, 16) and mask.shape == (16, 16)
         assert set(np.unique(mask)) <= {0, 255}
 
+    def test_infer_zero_width_image_is_io_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "toy.ckpt"
+        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        save_checkpoint(str(ckpt), build_network(config, seed=0))
+        image = tmp_path / "empty.pgm"
+        image.write_bytes(b"P5\n0 4\n255\n")
+        args = ["infer", "--ckpt", str(ckpt), "--image", str(image), "--out-dir", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "extents must be positive" in err and "Traceback" not in err
+
     def test_infer_deterministic_bytes(self, toy_config, tmp_path, capsys):
         cfg, ckpt = toy_config
         data_dir = tmp_path / "data"
@@ -348,6 +359,7 @@ class TestCliExitCodes:
             "moment_name_repeated",
             "moment_missing",
             "moment_shape",
+            "nan_parameter",
         ],
     )
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, case):
@@ -406,6 +418,11 @@ class TestCliExitCodes:
             blob = bytearray(full.read_bytes())
         elif case == "parameter_name_repeated":
             repeat_first_row(params_at, 1)
+        elif case == "nan_parameter":
+            (name_len,) = struct.unpack_from("<I", blob, params_at + 4)
+            blob_at = params_at + 8 + name_len + 4  # past the name and frame length
+            (rank,) = struct.unpack_from("<I", blob, blob_at + 4)
+            struct.pack_into("<d", blob, blob_at + 8 + 4 * rank, float("nan"))
         elif case == "buffer_name_repeated":
             (n_params,) = struct.unpack_from("<I", blob, params_at)
             repeat_first_row(frames_end(params_at + 4, 2 * n_params), 1)

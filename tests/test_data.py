@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hcfnet.data import (
     Sample,
@@ -98,6 +99,43 @@ class TestGeneration:
             generate_dataset(SyntheticConfig(), 0)
 
 
+def _pgm_file(head):
+    width, height, maxval, sep = head
+    size = width * height
+    return st.binary(min_size=max(size - 1, 0), max_size=size + 1).map(
+        lambda payload: b"P5\n%d %d\n# c\n%d" % (width, height, maxval) + sep + payload
+    )
+
+
+def _overwrite(args):
+    blob, at, byte = args
+    at %= len(blob)
+    return blob[:at] + bytes([byte]) + blob[at + 1 :]
+
+
+_valid_pgms = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5)).map(
+    lambda a: b"P5\n%d %d\n255\n" % (a.shape[1], a.shape[0]) + a.tobytes()
+)
+# Arbitrary bytes, valid files, valid files with one byte overwritten, and
+# headers (some invalid) over payloads within a byte of the declared size.
+pgm_blobs = st.one_of(
+    st.binary(max_size=64),
+    _valid_pgms,
+    st.tuples(_valid_pgms, st.integers(0, 1 << 20), st.integers(0, 255)).map(_overwrite),
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.one_of(st.integers(0, 300), st.just(255)),
+        st.sampled_from([b"\n", b" ", b"x", b""]),
+    ).flatmap(_pgm_file),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "fuzz.pgm")
+
+
 class TestPgm:
     def test_round_trip(self, tmp_path):
         values = np.arange(48, dtype=np.uint8).reshape(6, 8)
@@ -140,6 +178,38 @@ class TestPgm:
         path.write_bytes(b"P5\nnot a number\n")
         with pytest.raises(FileFormatError):
             read_pgm(str(path))
+
+    @pytest.mark.parametrize("header", [b"P5\n0 4\n255\n", b"P5\n4 0\n255\n"])
+    def test_rejects_zero_extent(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header)
+        with pytest.raises(FileFormatError, match="extents must be positive"):
+            read_pgm(str(path))
+
+    def test_rejects_sample_above_maxval(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n\x0f\xff")
+        with pytest.raises(FileFormatError, match="exceeds maxval 15"):
+            read_pgm(str(path))
+
+    @pytest.mark.parametrize(
+        "blob", [b"P5\n1 1\n255x\x00", b"P5\n1 1\n255", b"P5\n1234567890 1\n255\n\x00"]
+    )
+    def test_rejects_bad_header_end_or_oversized_field(self, tmp_path, blob):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(FileFormatError, match="malformed PGM header"):
+            read_pgm(str(path))
+
+    @given(pgm_blobs)
+    def test_arbitrary_bytes_load_or_fail_closed(self, fuzz_path, blob):
+        with open(fuzz_path, "wb") as fh:
+            fh.write(blob)
+        try:
+            image = read_pgm(fuzz_path)
+        except FileFormatError:
+            return
+        assert image.dtype == np.uint8 and image.ndim == 2 and image.size >= 1
 
 
 class TestDatasetStorage:

@@ -155,17 +155,34 @@ class TestTrainingStep:
     """One full-model step at batch 4 and 64x64, dropout off."""
 
     @staticmethod
-    def _loss():
+    def _step_inputs():
         config = NetworkConfig(dropout=0.0)
-        net = build_network(config, seed=3)
         images = Tensor(rng(7).uniform(size=(4, 1, 64, 64)))
         masks = Tensor((rng(8).uniform(size=(4, 1, 64, 64)) > 0.9).astype(np.float64))
+        return config, build_network(config, seed=3), images, masks
+
+    @staticmethod
+    def _loss(config, net, images, masks):
         logits = net(images, train=True, rng=rng(9))
         return deep_supervision_loss(logits, masks, config.loss_weights)
 
+    def test_step_peak_bounded(self):
+        # The tape keeps only the arrays each backward reads: a step peaks at
+        # about 129 MiB over the network's parameters (230 MiB when every
+        # node kept its output until the sweep reached it).
+        inputs = self._step_inputs()
+        tracemalloc.start()
+        try:
+            backward(self._loss(*inputs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 170 << 20, f"step peak {peak / 2**20:.1f} MiB"
+
     def test_records_990_nodes(self):
+        inputs = self._step_inputs()
         before = tape_length()
-        loss = self._loss()
+        loss = self._loss(*inputs)
         assert tape_length() - before == 990
         backward(loss)
 
@@ -173,9 +190,10 @@ class TestTrainingStep:
         # Nodes are released as the sweep passes them, and conv2d's input
         # gradient never holds full-extent columns, so the sweep adds only a
         # few MiB to what the forward leaves alive.
+        inputs = self._step_inputs()
         tracemalloc.start()
         try:
-            loss = self._loss()
+            loss = self._loss(*inputs)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             backward(loss)

@@ -50,6 +50,27 @@ small_arrays = hnp.arrays(
 )
 
 
+def _overwrite(args):
+    blob, at, byte = args
+    at %= len(blob)
+    return blob[:at] + bytes([byte]) + blob[at + 1 :]
+
+
+_valid_blobs = small_arrays.map(tensor_to_bytes)
+# Arbitrary bytes, valid blobs, valid blobs with one byte overwritten, and
+# headers with arbitrary ranks and extents over a short payload.
+tensor_blobs = st.one_of(
+    st.binary(max_size=64),
+    _valid_blobs,
+    st.tuples(_valid_blobs, st.integers(0, 1 << 20), st.integers(0, 255)).map(_overwrite),
+    st.tuples(
+        st.integers(0, 5),
+        st.lists(st.sampled_from([0, 1, 2, 3, 1 << 16, (1 << 32) - 1]), max_size=5),
+        st.binary(max_size=80),
+    ).map(lambda t: b"HCFT" + struct.pack(f"<{1 + len(t[1])}I", t[0], *t[1]) + t[2]),
+)
+
+
 class TestCreate:
     def test_kaiming_bound(self):
         w = kaiming_uniform(np.random.default_rng(0), (8, 4, 3, 3))
@@ -343,6 +364,27 @@ class TestSerialization:
         blob = b"HCFT" + struct.pack("<3I", 2, 3, 0)
         with pytest.raises(FileFormatError, match="zero extent"):
             tensor_from_bytes(blob)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_format_error(self, value):
+        blob = tensor_to_bytes(np.zeros(3))[:-8] + struct.pack("<d", value)
+        with pytest.raises(FileFormatError, match="non-finite"):
+            tensor_from_bytes(blob)
+
+    def test_extent_product_beyond_int64_is_format_error(self):
+        # 2**16 to the fourth wraps to 0 in int64; the size check must not.
+        blob = b"HCFT" + struct.pack("<5I", 4, *(4 * [1 << 16]))
+        with pytest.raises(FileFormatError, match="payload size"):
+            tensor_from_bytes(blob)
+
+    @given(tensor_blobs)
+    def test_arbitrary_bytes_load_or_fail_closed(self, blob):
+        try:
+            t = tensor_from_bytes(blob)
+        except FileFormatError:
+            return
+        assert 1 <= t.data.ndim <= 4 and np.isfinite(t.data).all()
+        assert tensor_to_bytes(t.data) == blob
 
 
 class TestParameter:
