@@ -13,6 +13,7 @@ moments, which are sorted by name.  Names are unique within a table.  The
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import BinaryIO, Iterable
 
@@ -21,12 +22,44 @@ import numpy as np
 from .errors import ConfigError, ContractError, FileFormatError
 from .network import Network, NetworkConfig
 from .optim import check_hyper
-from .tensor import tensor_from_bytes, tensor_to_bytes
+from .tensor import MAX_RANK, _all_finite, _check_shape
 
 __all__ = ["save_checkpoint", "load_checkpoint", "restore_network"]
 
 _MAGIC = b"HCFC"
 _VERSION = 1
+_BLOB_MAGIC = b"HCFT"
+
+
+def tensor_to_bytes(array: np.ndarray) -> bytes:
+    """Little-endian blob: magic, u32 rank, u32 extents, f64 payload."""
+    _check_shape(array.shape)
+    header = _BLOB_MAGIC + struct.pack(f"<{1 + array.ndim}I", array.ndim, *array.shape)
+    return header + np.ascontiguousarray(array, dtype="<f8").tobytes()
+
+
+def tensor_from_bytes(blob: bytes) -> np.ndarray:
+    """Decode one blob into a float64 array of rank 1 to ``MAX_RANK`` with
+    positive extents and finite values, or raise ``FileFormatError``."""
+    if len(blob) < 8 or blob[:4] != _BLOB_MAGIC:
+        raise FileFormatError("bad tensor blob: missing HCFT magic")
+    (rank,) = struct.unpack_from("<I", blob, 4)
+    if not 1 <= rank <= MAX_RANK:
+        raise FileFormatError(f"bad tensor blob: rank {rank}")
+    need = 8 + 4 * rank
+    if len(blob) < need:
+        raise FileFormatError("bad tensor blob: truncated header")
+    shape = struct.unpack_from(f"<{rank}I", blob, 8)
+    if 0 in shape:
+        raise FileFormatError(f"bad tensor blob: zero extent in shape {shape}")
+    count = math.prod(shape)  # exact: four u32 extents overflow int64
+    if len(blob) != need + 8 * count:
+        raise FileFormatError("bad tensor blob: payload size mismatch")
+    data = np.frombuffer(blob, dtype="<f8", count=count, offset=need)
+    data = data.reshape(shape).astype(np.float64)
+    if not _all_finite(data):
+        raise FileFormatError("bad tensor blob: non-finite values")
+    return data
 
 
 def _write_frame(fh: BinaryIO, payload: bytes) -> None:
@@ -69,12 +102,14 @@ def _read_json(fh: BinaryIO, what: str):
         return json.loads(_read_text(fh, what))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"checkpoint {what} is not valid JSON") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"checkpoint {what} nests too deeply") from exc
 
 
 def _read_array(fh: BinaryIO, what: str, name: str) -> np.ndarray:
     blob = _read_frame(fh)
     try:
-        return tensor_from_bytes(blob).data
+        return tensor_from_bytes(blob)
     except FileFormatError as exc:
         raise FileFormatError(f"checkpoint {what} '{name}': {exc}") from exc
 

@@ -6,9 +6,9 @@ sigmoid(current) picks the fine stream where it is high and the context
 stream where it is low.  The paper gates each of four channel partitions
 separately; the blend alpha*fine + (1-alpha)*context is elementwise, so one
 pass over the whole tensor computes the same values bit for bit.  A 3x3
-convolution, batch norm and ReLU finish the block.  When a neighboring
-stream does not exist at a boundary stage, the current feature stands in for
-it.
+convolution, batch norm and ReLU finish the block.  Every block has a
+context stream, the next deeper stage; the finest block has no shallower
+stage, so there the current feature stands in for the fine stream.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class DASI(Module):
         channels: int,
         *,
         fine_channels: int | None = None,
-        context_channels: int | None = None,
+        context_channels: int,
         rng: np.random.Generator,
     ):
         super().__init__()
@@ -53,32 +53,24 @@ class DASI(Module):
         self.align_fine = (
             Conv2d(fine_channels, channels, 1, rng=rng) if fine_channels else None
         )
-        self.align_context = (
-            Conv2d(context_channels, channels, 1, rng=rng) if context_channels else None
-        )
+        self.align_context = Conv2d(context_channels, channels, 1, rng=rng)
         self.fuse = Conv2d(channels, channels, 3, padding=1, rng=rng)
         self.bn = BatchNorm2d(channels)
 
     def forward(
         self,
         current: Tensor,
-        fine: Tensor | None = None,
-        context: Tensor | None = None,
+        fine: Tensor | None,
+        context: Tensor,
         train: bool = False,
     ) -> Tensor:
         h, w = current.shape[2], current.shape[3]
         if (fine is None) != (self.align_fine is None):
             raise ContractError("fine stream does not match this block's configuration")
-        if (context is None) != (self.align_context is None):
-            raise ContractError("context stream does not match this block's configuration")
         fine_aligned = (
             bilinear_resize(self.align_fine(fine), h, w) if fine is not None else current
         )
-        context_aligned = (
-            bilinear_resize(self.align_context(context), h, w)
-            if context is not None
-            else current
-        )
+        context_aligned = bilinear_resize(self.align_context(context), h, w)
         fused = gated_fuse(current, fine_aligned, context_aligned)
         del fine_aligned, context_aligned
         fused = self.fuse(fused)

@@ -130,7 +130,8 @@ def write_pgm(path: str, values: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-_PGM_FIELD = re.compile(rb"\s*(?:#[^\n]*\n)*\s*(\d+)")
+# Comments may stand wherever whitespace may (netpbm), in any number of runs.
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)*(\d+)")
 
 
 def read_pgm(path: str) -> np.ndarray:

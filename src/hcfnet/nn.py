@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .ops import batch_norm, conv2d, conv_transpose2d
-from .tensor import Parameter, Tensor, matmul, mul
+from .tensor import Parameter, Tensor, add, matmul, mul
 
 __all__ = [
     "Module",
@@ -179,7 +179,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        return matmul(x, self.weight) + self.bias
+        return add(matmul(x, self.weight), self.bias)
 
     __call__ = forward
 

@@ -47,19 +47,26 @@ def _conv_extent(size: int, kernel: int, stride: int, padding: int, dilation: in
 _BAND_BYTES = 4 << 20
 
 
+def _taps(kh: int, kw: int, stride: int, dilation: int, rows: range, ow: int):
+    """Yield (u, v, index) per kernel tap in row-major order, where
+    ``xp[index]`` is the padded input each output cell in ``rows`` reads
+    through tap (u, v)."""
+    last_row = stride * (len(rows) - 1) + 1
+    last_col = stride * (ow - 1) + 1
+    for u in range(kh):
+        iu = rows.start * stride + u * dilation
+        for v in range(kw):
+            jv = v * dilation
+            yield u, v, (..., slice(iu, iu + last_row, stride), slice(jv, jv + last_col, stride))
+
+
 def _gather_taps(
     xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int, rows: range, ow: int
 ) -> np.ndarray:
     n, c = xp.shape[:2]
     col = np.empty((n, c, kh, kw, len(rows), ow))
-    for u in range(kh):
-        iu = rows.start * stride + u * dilation
-        for v in range(kw):
-            jv = v * dilation
-            col[:, :, u, v] = xp[
-                :, :, iu : iu + stride * (len(rows) - 1) + 1 : stride,
-                jv : jv + stride * (ow - 1) + 1 : stride,
-            ]
+    for u, v, index in _taps(kh, kw, stride, dilation, rows, ow):
+        col[:, :, u, v] = xp[index]
     return col
 
 
@@ -127,14 +134,8 @@ def conv2d(
         for rows in reversed(bands):
             dcol = np.matmul(wt, g4[..., rows.start * ow : rows.stop * ow])
             dcol = dcol.reshape(n, c, kh, kw, len(rows), ow)
-            for u in range(kh):
-                iu = rows.start * stride + u * dilation
-                for v in range(kw):
-                    jv = v * dilation
-                    dxp[
-                        :, :, iu : iu + stride * (len(rows) - 1) + 1 : stride,
-                        jv : jv + stride * (ow - 1) + 1 : stride,
-                    ] += dcol[:, :, u, v]
+            for u, v, index in _taps(kh, kw, stride, dilation, rows, ow):
+                dxp[index] += dcol[:, :, u, v]
         if padding:
             dxp = dxp[:, :, padding : padding + h, padding : padding + w]
         return np.ascontiguousarray(dxp)
@@ -266,18 +267,18 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Separable bilinear resampling to (out_h, out_w); identity when the
-    target equals the source shape."""
+    """Separable bilinear resampling to (out_h, out_w).
+
+    When the target equals the source shape the input itself is returned:
+    no copy and no tape record.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"bilinear_resize expects rank 4, got {x.shape}")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize target must be positive, got {out_h}x{out_w}")
     n, c, h, w = x.shape
     if out_h == h and out_w == w:
-        def bw_id(g):
-            return (g,)
-
-        return record("bilinear_resize", (x,), x.data.copy(), bw_id)
+        return x
     mh = _interp_matrix(h, out_h) if out_h != h else None
     mw = _interp_matrix(w, out_w) if out_w != w else None
     out = x.data

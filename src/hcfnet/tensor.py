@@ -12,19 +12,20 @@ key and each input by its key, or by the tensor itself for a leaf that needs
 a gradient; its backward closure keeps only the arrays that backward reads
 (shapes and flags aside), so an activation nobody reads is freed as soon as
 the forward drops it.
+
+Each op has one spelling, a function (``add(a, b)``, ``matmul(a, b)``);
+``Tensor`` defines no arithmetic operators.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import struct
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, FileFormatError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
 
 MAX_RANK = 4
 
@@ -96,35 +97,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # arithmetic ------------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -584,40 +556,3 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return record("matmul", (a, b), np.matmul(a.data, b.data), bw)
-
-
-# --- serialization ----------------------------------------------------------
-
-_MAGIC = b"HCFT"
-
-
-def tensor_to_bytes(values) -> bytes:
-    """Little-endian blob: magic, u32 rank, u32 extents, f64 payload."""
-    arr = values.data if isinstance(values, Tensor) else _as_array(values)
-    _check_shape(arr.shape)
-    header = _MAGIC + struct.pack("<I", arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def tensor_from_bytes(blob: bytes) -> Tensor:
-    if len(blob) < 8 or blob[:4] != _MAGIC:
-        raise FileFormatError("bad tensor blob: missing HCFT magic")
-    (rank,) = struct.unpack_from("<I", blob, 4)
-    if not 1 <= rank <= MAX_RANK:
-        raise FileFormatError(f"bad tensor blob: rank {rank}")
-    need = 8 + 4 * rank
-    if len(blob) < need:
-        raise FileFormatError("bad tensor blob: truncated header")
-    shape = struct.unpack_from(f"<{rank}I", blob, 8)
-    if 0 in shape:
-        raise FileFormatError(f"bad tensor blob: zero extent in shape {shape}")
-    count = math.prod(shape)  # exact: four u32 extents overflow int64
-    if len(blob) != need + 8 * count:
-        raise FileFormatError("bad tensor blob: payload size mismatch")
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=need)
-    data = data.reshape(shape).astype(np.float64)
-    if not _all_finite(data):
-        raise FileFormatError("bad tensor blob: non-finite values")
-    return Tensor(data)
-

@@ -7,14 +7,13 @@ continues the exact trajectory of an uninterrupted run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checkpoint import restore_network, save_checkpoint
 from .data import Sample, SyntheticConfig, generate_dataset, load_dataset
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .losses import deep_supervision_loss
 from .metrics import iou_metric, niou_metric
 from .network import Network, NetworkConfig, build_network
@@ -166,8 +165,9 @@ def train(
 
     Emits one ``epoch=<i> loss=<mean> iou=<train iou>`` line per epoch.  When
     a checkpoint path is set, the state is written after every epoch (and
-    once before the first), so a non-finite loss always leaves the last good
-    state on disk.
+    once before the first).  An op that produces a non-finite value raises
+    ``ContractError`` from ``tensor.record``, so a diverging step stops the
+    run before it can write, and the last good state stays on disk.
     """
     net_config.validate()
     train_config.validate()
@@ -220,16 +220,9 @@ def train(
             optimizer.zero_grad()
             logits = network(images, train=True, rng=step_rng)
             loss = deep_supervision_loss(logits, masks, net_config.loss_weights)
-            value = loss.item()
-            if not math.isfinite(value):
-                where = train_config.checkpoint_path or "<no checkpoint path>"
-                raise ContractError(
-                    f"non-finite loss {value} at epoch {epoch} step {step}; "
-                    f"last good state: {where}"
-                )
+            losses.append(loss.item())
             backward(loss)
             optimizer.step()
-            losses.append(value)
         iou = evaluate(network, samples, train_config.batch_size, train_config.threshold)["iou"]
         mean_loss = float(np.mean(losses))
         line = f"epoch={epoch} loss={mean_loss:.6f} iou={iou:.6f}"

@@ -267,18 +267,15 @@ def dasi_naive(
 ):
     """Straight-line DASI pipeline: align both streams, gate, conv+BN+ReLU.
 
-    A None stream stands in as the current feature, matching the boundary
-    rule.  Eval-mode batch norm.
+    A None fine stream stands in as the current feature, matching the
+    boundary rule.  Eval-mode batch norm.
     """
     n, c, h, w = current.shape
     if fine is None:
         fine_aligned = current
     else:
         fine_aligned = bilinear_naive(conv2d_naive(fine, fine_w, fine_b), h, w)
-    if context is None:
-        ctx_aligned = current
-    else:
-        ctx_aligned = bilinear_naive(conv2d_naive(context, ctx_w, ctx_b), h, w)
+    ctx_aligned = bilinear_naive(conv2d_naive(context, ctx_w, ctx_b), h, w)
     fused = gated_fuse_naive(current, fine_aligned, ctx_aligned)
     mixed = conv2d_naive(fused, fuse_w, fuse_b, padding=1)
     normed = batch_norm_eval_naive(mixed, gamma, beta, running_mean, running_var)

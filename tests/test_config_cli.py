@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hcfnet import gradcheck
 from hcfnet.checkpoint import load_checkpoint, restore_network, save_checkpoint
@@ -48,6 +49,27 @@ NON_DEFAULT = {
     "checkpoint_path": ("out/model.ckpt", "out/model.ckpt"),
     "resume_from": ("in/model.ckpt", "in/model.ckpt"),
 }
+
+
+# Arbitrary bytes, and lines of known (and one unknown) keys over canned
+# spellings, edge values and arbitrary text.
+_config_lines = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(NON_DEFAULT) + ["depth"]),
+        st.one_of(
+            st.sampled_from([text for text, _ in NON_DEFAULT.values()]),
+            st.sampled_from(["none", "nan", "-inf", "1e999", "-1", "0", "2,", ",", "9" * 5000]),
+            st.text(max_size=12),
+        ),
+    ),
+    max_size=6,
+).map(lambda pairs: "".join(f"{key} = {value}\n" for key, value in pairs).encode("utf-8"))
+config_files = st.one_of(st.binary(max_size=80), _config_lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "fuzz.cfg")
 
 
 class TestKvParser:
@@ -137,6 +159,15 @@ class TestConfigMapping:
     def test_invalid_config_values_rejected(self):
         with pytest.raises(ConfigError):
             configs_from_mapping({"stages": "2", "widths": "8,8,8"})
+
+    @given(config_files)
+    def test_arbitrary_file_loads_or_fails_closed(self, fuzz_path, blob):
+        with open(fuzz_path, "wb") as fh:
+            fh.write(blob)
+        try:
+            configs_from_mapping(parse_kv_file(fuzz_path))
+        except (FileFormatError, ConfigError):
+            pass
 
     def test_seed_override(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -360,6 +391,8 @@ class TestCliExitCodes:
             "moment_missing",
             "moment_shape",
             "nan_parameter",
+            "config_nested",
+            "optimizer_nested",
         ],
     )
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, case):
@@ -402,6 +435,14 @@ class TestCliExitCodes:
             frame = json.dumps(header, sort_keys=True).encode("utf-8")
             tail = blob[header_at + header_len :]
             blob = blob[: flag_at + 1] + struct.pack("<I", len(frame)) + frame + tail
+        elif case in ("config_nested", "optimizer_nested"):
+            # Deep enough to exhaust the JSON decoder's recursion limit.
+            frame = b"[" * 100000
+            if case == "config_nested":
+                start, end = 8, 12 + config_len
+            else:
+                start, end = flag_at + 1, header_at + header_len
+            blob[start:end] = struct.pack("<I", len(frame)) + frame
         elif case == "bad_optimizer_flag":
             blob[flag_at] = 2
         elif case == "buffer_shape":

@@ -173,18 +173,18 @@ class TestDasi:
 
     @pytest.mark.parametrize(
         "channels,fine,ctx",
-        [(8, (4, 8, 8), (16, 2, 2)), (4, None, (8, 2, 2)), (12, (8, 8, 8), None)],
+        [(8, (4, 8, 8), (16, 2, 2)), (4, None, (8, 2, 2)), (12, (8, 8, 8), (24, 2, 2))],
     )
     def test_output_shape_matches_current(self, channels, fine, ctx):
         block = DASI(
             channels,
             fine_channels=fine[0] if fine else None,
-            context_channels=ctx[0] if ctx else None,
+            context_channels=ctx[0],
             rng=rng(8),
         )
         current = Tensor(rng(9).normal(size=(2, channels, 4, 4)))
         fine_t = Tensor(rng(10).normal(size=(2,) + fine)) if fine else None
-        ctx_t = Tensor(rng(11).normal(size=(2,) + ctx)) if ctx else None
+        ctx_t = Tensor(rng(11).normal(size=(2,) + ctx))
         assert block(current, fine_t, ctx_t).shape == current.shape
 
     def test_matches_reference_pipeline(self):
@@ -205,12 +205,15 @@ class TestDasi:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_boundary_streams_substitute_current(self):
-        block = DASI(8, fine_channels=None, context_channels=None, rng=rng(14))
+        # The finest block has no shallower stage: current stands in for fine.
+        block = DASI(8, fine_channels=None, context_channels=16, rng=rng(14))
         current = rng(15).normal(size=(2, 8, 4, 4))
-        out = block(Tensor(current))
+        context = rng(19).normal(size=(2, 16, 2, 2))
+        out = block(Tensor(current), None, Tensor(context))
         expected = dasi_naive(
-            current, None, None,
-            None, None, None, None,
+            current, None, context,
+            None, None,
+            block.align_context.weight.data, block.align_context.bias.data,
             block.fuse.weight.data, block.fuse.bias.data,
             block.bn.gamma.data, block.bn.beta.data,
             block.bn.running_mean, block.bn.running_var,
@@ -220,15 +223,16 @@ class TestDasi:
     def test_stream_configuration_mismatch_rejected(self):
         block = self.make_block(seed=16)
         current = Tensor(np.zeros((1, 8, 4, 4)))
+        context = Tensor(np.zeros((1, 16, 2, 2)))
         with pytest.raises(ContractError):
-            block(current)  # block expects both streams
-        solo = DASI(8, rng=rng(17))
+            block(current, None, context)  # block expects a fine stream
+        finest = DASI(8, context_channels=16, rng=rng(17))
         with pytest.raises(ContractError):
-            solo(current, fine=Tensor(np.zeros((1, 4, 8, 8))))
+            finest(current, Tensor(np.zeros((1, 4, 8, 8))), context)
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ConfigError):
-            DASI(6, rng=rng(18))
+            DASI(6, context_channels=8, rng=rng(18))
 
     def test_gradients_spot_check(self):
         assert run_case("dasi", max_coords=2) < 1e-4

@@ -155,6 +155,18 @@ class TestPgm:
         assert out.shape == (2, 3)
         np.testing.assert_array_equal(out.reshape(-1), np.frombuffer(payload, np.uint8))
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n# a\n # b\n3 2\n255\n", b"P5 #a\n\n#b\n3\n#c\n\t2 # d\n # e\n255\n"],
+    )
+    def test_header_comment_runs_parsed(self, tmp_path, header):
+        # Comments may stand wherever whitespace may, in any number of runs.
+        path = tmp_path / "c.pgm"
+        payload = bytes(range(6))
+        path.write_bytes(header + payload)
+        out = read_pgm(str(path))
+        np.testing.assert_array_equal(out, np.frombuffer(payload, np.uint8).reshape(2, 3))
+
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n....")

@@ -1,11 +1,15 @@
 """Tests for network assembly: config validation, deterministic builds,
 forward contracts, parameter/MAC accounting and checkpoint persistence."""
 
+import functools
 import hashlib
+import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hcfnet.checkpoint import load_checkpoint, restore_network, save_checkpoint
 from hcfnet.errors import ConfigError, ContractError, FileFormatError, ShapeError
@@ -179,11 +183,11 @@ class TestTrainingStep:
             tracemalloc.stop()
         assert peak <= 170 << 20, f"step peak {peak / 2**20:.1f} MiB"
 
-    def test_records_990_nodes(self):
+    def test_records_989_nodes(self):
         inputs = self._step_inputs()
         before = tape_length()
         loss = self._loss(*inputs)
-        assert tape_length() - before == 990
+        assert tape_length() - before == 989
         backward(loss)
 
     def test_backward_peak_stays_near_forward_footprint(self):
@@ -479,7 +483,53 @@ class TestForwardLifetimes:
         assert peak - held <= 80 << 20, f"no-grad forward peak {(peak - held) / 2**20:.1f} MiB"
 
 
+@functools.lru_cache(maxsize=None)
+def small_checkpoint() -> bytes:
+    """A valid checkpoint of a small network, with Adam state and meta."""
+    net = build_network(TOY_BASE, seed=0)
+    state = Adam(list(net.named_parameters())).state_dict()
+    with tempfile.TemporaryDirectory() as workdir:
+        path = f"{workdir}/net.ckpt"
+        save_checkpoint(path, net, optimizer_state=state, meta={"epoch": 1, "seed": 0})
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _overwrite(args):
+    at, byte = args
+    blob = small_checkpoint()
+    at %= len(blob)
+    return blob[:at] + bytes([byte]) + blob[at + 1 :]
+
+
+# Arbitrary bytes, with and without a valid magic and version, and a valid
+# checkpoint with one byte overwritten, mostly in its header and config frame.
+checkpoint_blobs = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: b"HCFC" + struct.pack("<I", 1) + tail),
+    st.tuples(
+        st.one_of(st.integers(0, 400), st.integers(0, 1 << 20)), st.integers(0, 255)
+    ).map(_overwrite),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "fuzz.ckpt")
+
+
 class TestCheckpoint:
+    @given(checkpoint_blobs)
+    @example(b"HCFC" + struct.pack("<2I", 1, 100000) + b"[" * 100000)
+    def test_arbitrary_bytes_load_or_fail_closed(self, fuzz_path, blob):
+        with open(fuzz_path, "wb") as fh:
+            fh.write(blob)
+        try:
+            snapshot = load_checkpoint(fuzz_path)
+        except FileFormatError:
+            return
+        assert isinstance(snapshot["config"], NetworkConfig)
+
     def test_round_trip_reproduces_forward_bitwise(self, tmp_path):
         net = build_network(TOY_FULL, seed=30)
         x = Tensor(rng(31).uniform(size=(1, 1, 16, 16)))

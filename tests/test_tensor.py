@@ -1,4 +1,4 @@
-"""Tensor core: construction, autodiff semantics, serialization."""
+"""Tensor core: construction and autodiff semantics; the array blob codec."""
 
 import struct
 import weakref
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hcfnet.checkpoint import tensor_from_bytes, tensor_to_bytes
 from hcfnet.errors import ContractError, DomainError, FileFormatError, ShapeError
 from hcfnet.nn import kaiming_uniform
 from hcfnet.tensor import (
@@ -33,8 +34,6 @@ from hcfnet.tensor import (
     sqrt,
     sub,
     tape_length,
-    tensor_from_bytes,
-    tensor_to_bytes,
     tmean,
     transpose,
     tsum,
@@ -344,10 +343,12 @@ class TestFiniteDifference:
 
 
 class TestSerialization:
+    """The checkpoint's ``HCFT`` blob codec, one array per blob."""
+
     def test_round_trip_bitwise(self):
         t = Tensor(np.random.default_rng(3).standard_normal((2, 3, 4)))
         back = tensor_from_bytes(tensor_to_bytes(t.data))
-        assert back.data.tobytes() == t.data.tobytes()
+        assert back.tobytes() == t.data.tobytes()
         assert back.shape == t.shape
 
     def test_bad_magic(self):
@@ -380,11 +381,11 @@ class TestSerialization:
     @given(tensor_blobs)
     def test_arbitrary_bytes_load_or_fail_closed(self, blob):
         try:
-            t = tensor_from_bytes(blob)
+            array = tensor_from_bytes(blob)
         except FileFormatError:
             return
-        assert 1 <= t.data.ndim <= 4 and np.isfinite(t.data).all()
-        assert tensor_to_bytes(t.data) == blob
+        assert 1 <= array.ndim <= 4 and np.isfinite(array).all()
+        assert tensor_to_bytes(array) == blob
 
 
 class TestParameter:

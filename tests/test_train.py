@@ -8,8 +8,9 @@ import pytest
 
 from hcfnet.checkpoint import load_checkpoint, restore_network
 from hcfnet.data import SyntheticConfig, generate_dataset
-from hcfnet.errors import ConfigError, ShapeError
+from hcfnet.errors import ConfigError, ContractError, ShapeError
 from hcfnet.network import NetworkConfig, build_network
+from hcfnet.optim import Adam
 from hcfnet.tensor import Tensor, no_grad
 from hcfnet.train import TrainConfig, evaluate, infer_image, load_training_samples, train
 
@@ -140,6 +141,29 @@ class TestCheckpointing:
             full.network.named_parameters(), resumed.network.named_parameters()
         ):
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_diverging_step_leaves_last_good_state(self, tmp_path, monkeypatch):
+        good_path = str(tmp_path / "good.ckpt")
+        good = train(TOY_NET, toy_train(epochs=1, checkpoint_path=good_path))
+        real_step = Adam.step
+
+        def overflowing_step(self):
+            real_step(self)
+            if self.step_count == 3:  # the first step of epoch 2
+                self.items[0][1].data[...] = 1e300
+
+        monkeypatch.setattr(Adam, "step", overflowing_step)
+        path = str(tmp_path / "model.ckpt")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractError):
+            train(TOY_NET, toy_train(epochs=2, checkpoint_path=path))
+        with open(path, "rb") as fh, open(good_path, "rb") as fh_good:
+            assert fh.read() == fh_good.read()
+        restored, snapshot = restore_network(path)
+        assert snapshot["meta"]["epoch"] == 1
+        for (_, want), (_, got) in zip(
+            good.network.named_parameters(), restored.named_parameters()
+        ):
+            assert want.data.tobytes() == got.data.tobytes()
 
     def test_resume_rejects_config_mismatch(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
