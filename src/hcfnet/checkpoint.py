@@ -251,7 +251,7 @@ def restore_network(path: str) -> tuple[Network, dict]:
         for k, what in enumerate(("first moment", "second moment")):
             _match(network.named_parameters(), {n: mv[k] for n, mv in moments.items()}, what)
     for param, array in params:
-        param.data = array.copy()
+        param.data = array
     for buffer, array in buffers:
         buffer[...] = array
     return network, snapshot

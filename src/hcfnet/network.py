@@ -40,6 +40,11 @@ class NetworkConfig:
     use_mdcr: bool = True
     loss_weights: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
+    @property
+    def extent_multiple(self) -> int:
+        """Input heights and widths must be multiples of this: one 2x pool per stage transition."""
+        return 1 << (self.stages - 1)
+
     def validate(self) -> None:
         if self.stages < 2:
             raise ConfigError(f"stages must be >= 2, got {self.stages}")
@@ -173,7 +178,7 @@ class Network(Module):
             raise ShapeError(
                 f"network expects {self.config.in_channels} input channels, got {x.shape[1]}"
             )
-        factor = 1 << (self.config.stages - 1)
+        factor = self.config.extent_multiple
         if x.shape[2] % factor or x.shape[3] % factor:
             raise ShapeError(
                 f"spatial extents {x.shape[2]}x{x.shape[3]} must be divisible by {factor}"
@@ -240,8 +245,8 @@ def count_params_macs(
     with one (name, parameter count, MACs) row per component.
 
     MACs are counted over one batch-1 eval-mode probe forward: every conv,
-    transposed conv, matmul, channel conv or batch-norm scale that consumes a
-    parameter (or a reshape of one) is charged to the component owning it.
+    transposed conv, matmul, channel conv or batch norm (its gamma scale) that
+    consumes a parameter (or a reshape of one) is charged to the component owning it.
     Pooling, resampling, activations, bias adds and gates count nothing.
     """
     stages = network.config.stages
@@ -270,7 +275,7 @@ def count_params_macs(
             macs[owners[0]] += out.size * inputs[0].shape[-1]
         elif op == "channel_conv1d":
             macs[owners[0]] += out.size * inputs[1].size
-        elif op == "mul":
+        elif op == "batch_norm":
             macs[owners[0]] += out.size
 
     probe = Tensor(np.zeros((1, network.config.in_channels, height, width)))

@@ -158,12 +158,7 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            train=train,
+            x, self.gamma, self.beta, self.running_mean, self.running_var, train=train
         )
 
     __call__ = forward

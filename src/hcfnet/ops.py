@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, _unbroadcast, add, div, mul, record, reshape, sub
+from .tensor import Tensor, _unbroadcast, record
 
 __all__ = [
     "conv2d",
@@ -357,11 +357,11 @@ def batch_norm(
 ) -> Tensor:
     """Per-channel normalization over (N, H, W) plus affine transform.
 
-    Training mode normalizes with biased batch statistics and updates the
-    running buffers in place (unbiased variance, decay ``_BN_MOMENTUM``); it
-    is one tape op that keeps only the per-channel mean and deviation and
-    recomputes the centred input in backward.  Eval mode normalizes with the
-    running buffers as constants.
+    One tape op in both modes.  Training mode normalizes with biased batch
+    statistics, updates the running buffers in place (unbiased variance, decay
+    ``_BN_MOMENTUM``) and keeps x, recomputing the centred input in backward.
+    Eval mode normalizes with the running buffers as constants and keeps the
+    centred input, only when gamma needs a gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm expects rank 4, got {x.shape}")
@@ -370,40 +370,43 @@ def batch_norm(
         raise ShapeError(f"batch_norm affine params must have shape ({c},)")
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ShapeError(f"batch_norm running stats must have shape ({c},)")
-    if not train:
-        shift = Tensor(running_mean.reshape(1, c, 1, 1))
-        scale = Tensor(np.sqrt(running_var + _BN_EPS).reshape(1, c, 1, 1))
-        norm = div(sub(x, shift), scale)
-        return add(mul(norm, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
     axes, chan = (0, 2, 3), (1, c, 1, 1)
     count = n * h * w
-    mu = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=axes, keepdims=True)
-    s = np.sqrt(var + _BN_EPS)
-    if not np.isfinite(s).all():
-        raise ContractError("non-finite batch variance in 'batch_norm'")
+    if train:
+        mu = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        s = np.sqrt(var + _BN_EPS)
+        if not np.isfinite(s).all():
+            raise ContractError("non-finite batch variance in 'batch_norm'")
+        batch_var = var.reshape(c)
+        if count > 1:
+            batch_var = batch_var * (count / (count - 1.0))
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mu.reshape(c)
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * batch_var
+    else:
+        mu, s = running_mean.reshape(chan), np.sqrt(running_var + _BN_EPS).reshape(chan)
+        centered = x.data - mu
     g4 = gamma.data.reshape(chan)
     out = centered / s * g4 + beta.data.reshape(chan)
-    batch_var = var.reshape(c)
-    if count > 1:
-        batch_var = batch_var * (count / (count - 1.0))
-    running_mean *= 1.0 - _BN_MOMENTUM
-    running_mean += _BN_MOMENTUM * mu.reshape(c)
-    running_var *= 1.0 - _BN_MOMENTUM
-    running_var += _BN_MOMENTUM * batch_var
-    xd, x_grad = x.data, x.requires_grad
+    saved = x.data if train else (centered if gamma.requires_grad else None)
+    x_grad = x.requires_grad
 
     def bw(g):
-        # Replays the tape of mean, sub, mul, mean, add-eps, sqrt, div, scale
-        # and shift in reverse with the same groupings, so the gradients equal
-        # that composition's bit for bit when this op is x's only consumer.
-        centered = xd - mu
+        # Train mode replays the tape of mean, sub, mul, mean, add-eps, sqrt,
+        # div, scale and shift in reverse with the same groupings, so the
+        # gradients equal that composition's bit for bit when this op is x's
+        # only consumer.  In eval mode mu and s are constants: x gets g_norm / s.
+        centered = saved - mu if train else saved
         grad_beta = _unbroadcast(g, chan).reshape(c)
-        grad_gamma = _unbroadcast(g * (centered / s), chan).reshape(c)
+        grad_gamma = None if centered is None else _unbroadcast(g * (centered / s), chan).reshape(c)
         if not x_grad:
             return None, grad_gamma, grad_beta
         g_norm = g * g4
+        if not train:
+            return g_norm / s, grad_gamma, grad_beta
         g_s = _unbroadcast(-g_norm * centered / (s * s), chan)
         g_sq = g_s * 0.5 / s / count
         g_centered = g_norm / s + g_sq * centered + g_sq * centered

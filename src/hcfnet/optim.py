@@ -12,17 +12,17 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tensor import Parameter
+from .tensor import Parameter, _all_finite
 
 __all__ = ["Adam", "check_hyper"]
 
 
 def check_hyper(hyper: dict) -> None:
-    """Raise ``ConfigError`` unless each entry is a known Adam hyperparameter
-    holding a finite real number in range: lr and eps positive, betas in [0, 1)."""
+    """Raise ``ConfigError`` unless ``hyper`` holds exactly lr, beta1, beta2 and
+    eps, each a finite real number in range: lr and eps positive, betas in [0, 1)."""
+    if set(hyper) != {"lr", "beta1", "beta2", "eps"}:
+        raise ConfigError(f"Adam needs exactly lr, beta1, beta2 and eps, got {sorted(hyper)}")
     for name, value in hyper.items():
-        if name not in ("lr", "beta1", "beta2", "eps"):
-            raise ConfigError(f"unknown Adam hyperparameter '{name}'")
         real = isinstance(value, Real) and not isinstance(value, bool)
         if not (real and abs(value) <= sys.float_info.max):  # false for NaN and inf
             raise ConfigError(f"Adam {name} must be a finite real number, got {value!r}")
@@ -60,7 +60,7 @@ class Adam:
             grad = param.grad
             if grad is None:
                 continue
-            if not np.all(np.isfinite(grad)):
+            if not _all_finite(grad):
                 raise ContractError(f"non-finite gradient for parameter '{name}'")
             m = self.m[name]
             v = self.v[name]
@@ -83,13 +83,6 @@ class Adam:
         moments = state["moments"]
         if set(moments) != {name for name, _ in self.items}:
             raise ContractError("optimizer state does not match the parameter set")
-        self.step_count = int(state["step"])
-        hyper = state.get("hyper", {})
-        check_hyper(hyper)
-        self.lr = float(hyper.get("lr", self.lr))
-        self.beta1 = float(hyper.get("beta1", self.beta1))
-        self.beta2 = float(hyper.get("beta2", self.beta2))
-        self.eps = float(hyper.get("eps", self.eps))
         for name, param in self.items:
             m, v = moments[name]
             for blob, store in ((m, self.m), (v, self.v)):
@@ -97,3 +90,7 @@ class Adam:
                 if arr.shape != param.data.shape:
                     raise ContractError(f"moment shape mismatch for parameter '{name}'")
                 store[name] = arr.copy()
+        self.step_count = int(state["step"])
+        check_hyper(state["hyper"])
+        for name, value in state["hyper"].items():  # exactly lr, beta1, beta2 and eps
+            setattr(self, name, float(value))

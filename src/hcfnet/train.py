@@ -85,7 +85,7 @@ def _check_samples(net_config: NetworkConfig, samples: list[Sample]) -> None:
     if not samples:
         raise ConfigError("training needs at least one sample")
     shape = samples[0].image.shape
-    factor = 1 << (net_config.stages - 1)
+    factor = net_config.extent_multiple
     for sample in samples:
         if sample.image.shape != shape or sample.mask.shape != shape:
             raise ShapeError(f"sample '{sample.sample_id}' does not match shape {shape}")
@@ -146,7 +146,7 @@ def infer_image(network: Network, image: np.ndarray) -> np.ndarray:
     if network.config.in_channels != 1:
         raise ConfigError("single-image inference requires an in_channels=1 network")
     h, w = image.shape
-    factor = 1 << (network.config.stages - 1)
+    factor = network.config.extent_multiple
     pad_h = (-h) % factor
     pad_w = (-w) % factor
     padded = np.pad(image, ((0, pad_h), (0, pad_w)))

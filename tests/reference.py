@@ -153,6 +153,24 @@ def batch_norm_composed(x, gamma, beta, running_mean, running_var, momentum=0.1,
     return add(mul(norm, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
 
 
+def batch_norm_eval_composed(x, gamma, beta, running_mean, running_var, eps=1e-5):
+    """Eval-mode batch norm as the 6 tape ops it once was: reshapes of gamma
+    and beta, then sub, div, mul and add, with the running buffers wrapped as
+    constant tensors.
+
+    Like ``batch_norm_composed`` this reuses the package's tensor ops on
+    purpose: the single-op eval ``batch_norm`` must reproduce its forward and
+    gradients bit for bit.
+    """
+    from hcfnet.tensor import Tensor, add, div, mul, reshape, sub
+
+    c = x.shape[1]
+    shift = Tensor(running_mean.reshape(1, c, 1, 1))
+    scale = Tensor(np.sqrt(running_var + eps).reshape(1, c, 1, 1))
+    norm = div(sub(x, shift), scale)
+    return add(mul(norm, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
+
+
 def network_forward_composed(network, x, train=False, rng=None):
     """``Network.forward`` in the op order it had while it kept every
     feature map to the end: decoded maps in a list, all heads run last, and

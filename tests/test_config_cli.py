@@ -383,6 +383,7 @@ class TestCliExitCodes:
             "moment_name_utf8",
             "trailing_bytes",
             "missing_step",
+            "hyper_empty",
             "bad_optimizer_flag",
             "buffer_shape",
             "parameter_name_repeated",
@@ -429,9 +430,12 @@ class TestCliExitCodes:
             blob[header_at + header_len + 8] = 0xFF
         elif case == "trailing_bytes":
             blob += b"junk"
-        elif case == "missing_step":
+        elif case in ("missing_step", "hyper_empty"):
             header = json.loads(blob[header_at : header_at + header_len])
-            del header["step"]
+            if case == "missing_step":
+                del header["step"]
+            else:
+                header["hyper"] = {}  # must not fall back to the config's Adam settings
             frame = json.dumps(header, sort_keys=True).encode("utf-8")
             tail = blob[header_at + header_len :]
             blob = blob[: flag_at + 1] + struct.pack("<I", len(frame)) + frame + tail

@@ -17,7 +17,17 @@ from hcfnet.losses import deep_supervision_loss
 from hcfnet.network import DoubleConv, Network, NetworkConfig, build_network, count_params_macs
 from hcfnet.nn import Conv2d
 from hcfnet.optim import Adam
-from hcfnet.tensor import Parameter, Tensor, backward, mul, no_grad, tape_length, tsum
+from hcfnet.tensor import (
+    Parameter,
+    Tensor,
+    backward,
+    clear_tape,
+    mul,
+    no_grad,
+    observe,
+    tape_length,
+    tsum,
+)
 from reference import network_forward_composed
 
 
@@ -153,6 +163,20 @@ class TestForward:
         net(Tensor(rng(11).uniform(size=(2, 1, 16, 16))), train=True, rng=rng(12))
         after = dict(net.named_buffers())
         assert any(np.abs(after[name] - before[name]).max() > 0 for name in before)
+
+    def test_eval_forward_is_one_op_per_batch_norm(self):
+        # 14 batch norms: 5 encoder and 4 decoder PPAs, 4 DASI blocks, MDCR.
+        net = build_network(NetworkConfig(), seed=3)
+        probe = Tensor(np.zeros((1, 1, 64, 64)))
+        seen = []
+        with no_grad(), observe(lambda op, inputs, out: seen.append(op)):
+            net(probe)
+        assert seen.count("batch_norm") == 14
+        before = tape_length()
+        net(probe)
+        nodes = tape_length() - before
+        clear_tape()
+        assert nodes == 900
 
 
 class TestTrainingStep:
@@ -546,6 +570,16 @@ class TestCheckpoint:
             got = [z.data.copy() for z in restored(x, train=False)]
         for a, b in zip(want, got):
             np.testing.assert_array_equal(a, b)
+
+    def test_restore_keeps_the_decoded_arrays(self, tmp_path):
+        # The codec already returns a fresh float64 array per parameter, so
+        # restoring adopts it instead of copying it again.
+        path = str(tmp_path / "net.ckpt")
+        save_checkpoint(path, build_network(TOY_FULL, seed=35))
+        restored, snapshot = restore_network(path)
+        for name, param in restored.named_parameters():
+            assert param.data is snapshot["params"][name]
+            assert param.data.flags.writeable and param.data.flags.c_contiguous
 
     def test_optimizer_state_round_trip(self, tmp_path):
         net = build_network(TOY_FULL, seed=33)

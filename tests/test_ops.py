@@ -26,6 +26,7 @@ from hcfnet.train import infer_image
 from finite_difference import finite_difference_check
 from reference import (
     batch_norm_composed,
+    batch_norm_eval_composed,
     batch_norm_train_naive,
     bilinear_naive,
     channel_conv1d_naive,
@@ -456,6 +457,36 @@ class TestBatchNorm:
         for got, want in zip(fused[3], composed[3]):
             assert (got is None) == (want is None)
             assert got is None or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5, 5), (1, 2, 3, 6), (4, 3, 1, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_eval_bitwise_equal_to_composition(self, shape, x_grad):
+        rng = np.random.default_rng(sum(shape) + 1)
+        c = shape[1]
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        affine = rng.standard_normal((2, c))
+        rm, rv = rng.standard_normal(c), rng.random(c) + 0.5
+        buffers = rm.copy(), rv.copy()
+        field = Tensor(rng.standard_normal(shape))
+
+        def run(fn):
+            leaves = [Tensor(x, requires_grad=x_grad)]
+            leaves += [Tensor(v, requires_grad=True) for v in affine]
+            before = tape_length()
+            out = fn(*leaves, rm, rv)
+            nodes = tape_length() - before
+            backward(tsum(mul(out, field)))
+            return out.data, [t.grad for t in leaves], nodes
+
+        fused = run(lambda *a: batch_norm(*a, train=False))
+        composed = run(batch_norm_eval_composed)
+        assert fused[2] == 1 and composed[2] == (6 if x_grad else 4)
+        assert fused[0].tobytes() == composed[0].tobytes()
+        assert (fused[1][0] is None) == (not x_grad)
+        for got, want in zip(fused[1], composed[1]):
+            assert (got is None) == (want is None)
+            assert got is None or got.tobytes() == want.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip((rm, rv), buffers))
 
     def test_train_overflowing_variance_rejected(self):
         gamma, beta, rm, rv = self._state(1)

@@ -146,6 +146,20 @@ class TestAdamState:
         np.testing.assert_array_equal(m, np.zeros(2))
         np.testing.assert_array_equal(v, np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "hyper",
+        [{}, {"lr": 0.5}, {"lr": 0.5, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "momentum": 0.1}],
+        ids=["empty", "partial", "extra"],
+    )
+    def test_hyper_must_name_all_four(self, hyper):
+        p = make_param([1.0])
+        opt = Adam([("x", p)], lr=0.05)
+        state = opt.state_dict()
+        state["hyper"] = hyper
+        with pytest.raises(ConfigError, match="exactly lr, beta1, beta2 and eps"):
+            opt.load_state_dict(state)
+        assert opt.lr == 0.05
+
     def test_mismatched_state_rejected(self):
         p = make_param([1.0])
         opt = Adam([("x", p)])
