@@ -3,7 +3,8 @@
 Sanity experiment for the whole stack: with every module enabled the network
 should drive its training loss well below the starting value and reach high
 IoU on the scenes it memorizes.  Defaults match the release checklist run
-(8 scenes at 64x64, batch 4, 500 steps, dropout off).
+(8 scenes at 64x64 from data seed 156, init seed 3, batch 4, 500 steps,
+dropout off).
 """
 
 import argparse
@@ -19,7 +20,7 @@ from hcfnet.train import TrainConfig, train
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="init and shuffle seed")
+    parser.add_argument("--seed", type=int, default=3, help="init and shuffle seed")
     parser.add_argument("--data-seed", type=int, default=156, help="synthetic scene seed")
     parser.add_argument("--epochs", type=int, default=250)
     parser.add_argument("--n", type=int, default=8, help="number of scenes")

@@ -239,13 +239,18 @@ def restore_network(path: str) -> tuple[Network, dict]:
     """Rebuild the network a checkpoint describes and load its state.
 
     Every stored parameter, buffer and Adam moment must match the rebuilt
-    network's names and shapes.  Returns the network plus the full parsed
-    checkpoint dictionary.
+    network's names and shapes, and no running variance may be negative.
+    Returns the network plus the full parsed checkpoint dictionary.
     """
     snapshot = load_checkpoint(path)
     network = Network(snapshot["config"], seed=0)
     params = _match(network.named_parameters(), snapshot["params"], "parameter")
     buffers = _match(network.named_buffers(), snapshot["buffers"], "buffer")
+    # Running variances blend non-negative batch variances, so a negative
+    # entry can only come from a damaged file; eval would take its sqrt.
+    for name, array in snapshot["buffers"].items():
+        if name.endswith("running_var") and (array < 0).any():
+            raise FileFormatError(f"checkpoint buffer '{name}' holds a negative variance")
     if snapshot["optimizer"] is not None:
         moments = snapshot["optimizer"]["moments"]
         for k, what in enumerate(("first moment", "second moment")):

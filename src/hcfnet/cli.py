@@ -52,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-coords",
         type=int,
         default=None,
-        help="cap probed coordinates per tensor (default: exhaustive); "
-        "the net case probes min(cap, 20) pooled coordinates",
+        help="cap probed coordinates per tensor (default: every coordinate "
+        "for the blocks, one per tensor for the net)",
     )
 
     p_report = sub.add_parser("report", help="print per-layer parameter and MAC counts")

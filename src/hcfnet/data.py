@@ -30,32 +30,23 @@ __all__ = [
 ]
 
 
+# Scene recipe: disks per scene, disk radius in pixels, additive brightness,
+# and the cap on the fraction of pixels that disks may cover.
+_MIN_OBJECTS, _MAX_OBJECTS = 1, 3
+_RADIUS_RANGE = (1.0, 3.0)
+_BOOST_RANGE = (0.3, 0.8)
+_MAX_COVERAGE = 0.005
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     height: int = 64
     width: int = 64
-    min_objects: int = 1
-    max_objects: int = 3
-    radius_range: tuple[float, float] = (1.0, 3.0)
-    boost_range: tuple[float, float] = (0.3, 0.8)
-    max_coverage: float = 0.005
     seed: int = 0
 
     def validate(self) -> None:
         if self.height < 8 or self.width < 8:
             raise ConfigError(f"image extents must be >= 8, got {self.height}x{self.width}")
-        if not 0 <= self.min_objects <= self.max_objects:
-            raise ConfigError(
-                f"need 0 <= min_objects <= max_objects, got {self.min_objects}, {self.max_objects}"
-            )
-        lo, hi = self.radius_range
-        if not 0.5 <= lo <= hi:
-            raise ConfigError(f"radius_range must satisfy 0.5 <= lo <= hi, got {self.radius_range}")
-        blo, bhi = self.boost_range
-        if not 0.0 < blo <= bhi <= 1.0:
-            raise ConfigError(f"boost_range must lie inside (0, 1], got {self.boost_range}")
-        if not 0.0 < self.max_coverage < 1.0:
-            raise ConfigError(f"max_coverage must lie in (0, 1), got {self.max_coverage}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -89,11 +80,11 @@ def generate_sample(config: SyntheticConfig, index: int) -> Sample:
         amp = rng.uniform(0.05, 0.15)
         scene += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
     mask = np.zeros((h, w), dtype=bool)
-    budget = int(config.max_coverage * h * w)
-    count = int(rng.integers(config.min_objects, config.max_objects + 1))
+    budget = int(_MAX_COVERAGE * h * w)
+    count = int(rng.integers(_MIN_OBJECTS, _MAX_OBJECTS + 1))
     for _ in range(count):
-        radius = rng.uniform(*config.radius_range)
-        boost = rng.uniform(*config.boost_range)
+        radius = rng.uniform(*_RADIUS_RANGE)
+        boost = rng.uniform(*_BOOST_RANGE)
         cy = rng.uniform(radius, h - 1 - radius)
         cx = rng.uniform(radius, w - 1 - radius)
         room = budget - int(mask.sum())

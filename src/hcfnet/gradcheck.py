@@ -89,87 +89,52 @@ def build_case(name: str) -> tuple[Callable[[], Tensor], list[tuple[str, Tensor]
     return fn, targets
 
 
-def _pick_coords(
-    targets: list[tuple[str, Tensor]],
-    max_coords: int | None,
-    total_coords: int | None,
-    picker: np.random.Generator,
-) -> list[tuple[int, int]]:
-    """(target index, flat coordinate) pairs to probe."""
-    if total_coords is not None:
-        sizes = np.array([t.data.size for _, t in targets])
-        bounds = np.cumsum(sizes)
-        chosen = picker.choice(bounds[-1], size=min(total_coords, bounds[-1]), replace=False)
-        pairs = []
-        for flat_index in sorted(chosen):
-            ti = int(np.searchsorted(bounds, flat_index, side="right"))
-            pairs.append((ti, int(flat_index - (bounds[ti - 1] if ti else 0))))
-        return pairs
-    pairs = []
-    for ti, (_, tensor) in enumerate(targets):
-        size = tensor.data.size
-        if max_coords is None or size <= max_coords:
-            coords = range(size)
-        else:
-            coords = sorted(picker.choice(size, size=max_coords, replace=False))
-        pairs.extend((ti, int(c)) for c in coords)
-    return pairs
-
-
-def _check_max_coords(max_coords: int | None) -> None:
-    if max_coords is not None and max_coords < 1:
-        raise ConfigError(f"max_coords must be at least 1, got {max_coords}")
-
-
 def check_gradients(
     fn: Callable[[], Tensor],
     targets: list[tuple[str, Tensor]],
     *,
     max_coords: int | None = None,
-    total_coords: int | None = None,
 ) -> float:
     """Max relative error between reverse-mode and central-difference grads.
 
-    ``max_coords`` caps the probed coordinates per target tensor;
-    ``total_coords`` instead samples that many from all targets pooled.
-    With neither set, every coordinate is checked.
+    ``max_coords`` caps the probed coordinates per target tensor, drawn
+    without replacement; with it unset, every coordinate is checked.
     """
-    _check_max_coords(max_coords)
+    if max_coords is not None and max_coords < 1:
+        raise ConfigError(f"max_coords must be at least 1, got {max_coords}")
     zero_grads([t for _, t in targets])
     backward(fn())
-    analytic = [
-        (t.grad.copy() if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
-        for _, t in targets
-    ]
     picker = np.random.default_rng(0)
     worst = 0.0
-    for ti, c in _pick_coords(targets, max_coords, total_coords, picker):
-        flat = targets[ti][1].data.reshape(-1)
-        original = flat[c]
-        with no_grad():
-            flat[c] = original + _EPS
-            upper = fn().item()
-            flat[c] = original - _EPS
-            lower = fn().item()
-            flat[c] = original
-        numeric = (upper - lower) / (2.0 * _EPS)
-        err = abs(analytic[ti][c] - numeric) / (abs(analytic[ti][c]) + abs(numeric) + _DENOM_FLOOR)
-        worst = max(worst, err)
+    for _, tensor in targets:
+        flat = tensor.data.reshape(-1)
+        analytic = np.zeros(flat.size) if tensor.grad is None else tensor.grad.reshape(-1)
+        coords = range(flat.size)
+        if max_coords is not None and flat.size > max_coords:
+            coords = sorted(picker.choice(flat.size, size=max_coords, replace=False))
+        for c in coords:
+            original = flat[c]
+            with no_grad():
+                flat[c] = original + _EPS
+                upper = fn().item()
+                flat[c] = original - _EPS
+                lower = fn().item()
+                flat[c] = original
+            numeric = (upper - lower) / (2.0 * _EPS)
+            err = abs(analytic[c] - numeric) / (abs(analytic[c]) + abs(numeric) + _DENOM_FLOOR)
+            worst = max(worst, err)
     return worst
 
 
-# The whole-network case samples pooled coordinates (``max_coords`` lowers the
-# count); exhaustive sweeps there cost thousands of forward passes for no
-# extra signal.
-_NET_TOTAL_COORDS = 20
+# Exhaustive sweeps of the whole network cost thousands of forward passes for
+# no extra signal; one coordinate per tensor still reaches every parameter.
+_NET_MAX_COORDS = 1
 
 
 def run_case(name: str, *, max_coords: int | None = None) -> float:
-    _check_max_coords(max_coords)
     fn, targets = build_case(name)
-    if name == "net":
-        total = min(max_coords or _NET_TOTAL_COORDS, _NET_TOTAL_COORDS)
-        return check_gradients(fn, targets, total_coords=total)
+    if name == "net" and max_coords is None:
+        max_coords = _NET_MAX_COORDS
     return check_gradients(fn, targets, max_coords=max_coords)
 
 

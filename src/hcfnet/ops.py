@@ -161,7 +161,7 @@ def conv2d(
     return record("conv2d", inputs, out, bw)
 
 
-def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Transposed convolution, kernel 2x2 and stride 2: exact adjoint of the
     matching strided convolution, doubling both spatial extents.
 
@@ -176,7 +176,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
         raise ShapeError(f"conv_transpose2d supports 2x2 kernels, got {kh}x{kw}")
     if c_in != c:
         raise ShapeError(f"conv_transpose2d channel mismatch: x {c}, weight {c_in}")
-    if bias is not None and bias.shape != (out_c,):
+    if bias.shape != (out_c,):
         raise ShapeError(f"conv_transpose2d bias must be ({out_c},)")
     positions = h * w
     xm = x.data.reshape(n, c, positions).transpose(0, 2, 1)
@@ -188,14 +188,12 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
         .reshape(n, out_c, 2 * h, 2 * w)
     )
     out = np.ascontiguousarray(out)
-    if bias is not None:
-        out += bias.data.reshape(1, out_c, 1, 1)
+    out += bias.data.reshape(1, out_c, 1, 1)
 
     x_grad = x.requires_grad
     xm_saved = xm if weight.requires_grad else None  # read by the weight gradient
     w_shape = weight.shape
-    has_bias = bias is not None
-    b_grad = has_bias and bias.requires_grad
+    b_grad = bias.requires_grad
 
     def bw(gout):
         gm = (
@@ -210,12 +208,9 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> T
             )
         if xm_saved is not None:
             grad_w = np.matmul(xm_saved.swapaxes(1, 2), gm).sum(axis=0).reshape(w_shape)
-        if not has_bias:
-            return grad_x, grad_w
         return grad_x, grad_w, (gout.sum(axis=(0, 2, 3)) if b_grad else None)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return record("conv_transpose2d", inputs, out, bw)
+    return record("conv_transpose2d", (x, weight, bias), out, bw)
 
 
 def max_pool2d(x: Tensor) -> Tensor:

@@ -80,6 +80,11 @@ class Adam:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore step, hyperparameters and moments from ``state``.
+
+        Takes ownership of the moment arrays: a contiguous float64 moment is
+        stored as given, not copied, and later steps update it in place.
+        """
         moments = state["moments"]
         if set(moments) != {name for name, _ in self.items}:
             raise ContractError("optimizer state does not match the parameter set")
@@ -89,7 +94,7 @@ class Adam:
                 arr = np.ascontiguousarray(blob, dtype=np.float64)
                 if arr.shape != param.data.shape:
                     raise ContractError(f"moment shape mismatch for parameter '{name}'")
-                store[name] = arr.copy()
+                store[name] = arr
         self.step_count = int(state["step"])
         check_hyper(state["hyper"])
         for name, value in state["hyper"].items():  # exactly lr, beta1, beta2 and eps

@@ -95,7 +95,7 @@ class PatchBranch(Module):
         n, c, h, w = x.shape
         p = self.patch
         pad_h, pad_w = (-h) % p, (-w) % p
-        work = pad2d(x, 0, pad_h, 0, pad_w) if pad_h or pad_w else x
+        work = pad2d(x, pad_h, pad_w) if pad_h or pad_w else x
         hp, wp = h + pad_h, w + pad_w
         cells = p * p
         grid = (hp // p) * (wp // p)
@@ -139,7 +139,7 @@ class SpatialAttention(Module):
         self.conv = Conv2d(2, 1, 7, padding=3, bias=False, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        stats = concat([tmean(x, axis=1, keepdims=True), amax(x, axis=1, keepdims=True)], 1)
+        stats = concat([tmean(x, axis=1, keepdims=True), amax(x, axis=1)], 1)
         return mul(x, sigmoid(self.conv(stats)))
 
     __call__ = forward

@@ -110,14 +110,13 @@ class Parameter(Tensor):
 
 
 class _Node:
-    """One tape record: the op, its output's key, one grad target per input
-    (the input's key if it came off the tape, the tensor if it is a leaf
-    that needs a gradient, else ``None``) and the backward closure."""
+    """One tape record: its output's key, one grad target per input (the
+    input's key if it came off the tape, the tensor if it is a leaf that
+    needs a gradient, else ``None``) and the backward closure."""
 
-    __slots__ = ("op", "key", "targets", "backward_fn")
+    __slots__ = ("key", "targets", "backward_fn")
 
-    def __init__(self, op, key, targets, backward_fn):
-        self.op = op
+    def __init__(self, key, targets, backward_fn):
         self.key = key
         self.targets = targets
         self.backward_fn = backward_fn
@@ -188,7 +187,7 @@ def record(
         targets = tuple(
             t.key if t.key is not None else (t if t.requires_grad else None) for t in inputs
         )
-        _TAPE.append(_Node(op, out.key, targets, backward_fn))
+        _TAPE.append(_Node(out.key, targets, backward_fn))
     if _OBSERVER is not None:
         _OBSERVER(op, inputs, out)
     return out
@@ -422,17 +421,14 @@ def _kept_shape(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...
     return tuple(1 if i in axes else e for i, e in enumerate(shape))
 
 
-def amax(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max along one axis; ties route the gradient to the first occurrence."""
+def amax(x: Tensor, axis: int) -> Tensor:
+    """Max along one axis, kept as extent 1; ties route the gradient to the
+    first occurrence."""
     xd = x.data
     axis = axis % xd.ndim
-    out = xd.max(axis=axis, keepdims=keepdims)
-    if out.ndim == 0:
-        out = out.reshape(1)
+    out = xd.max(axis=axis, keepdims=True)
 
     def bw(g):
-        if not keepdims:
-            g = g.reshape(_kept_shape(xd.shape, (axis,)))
         dx = np.zeros_like(xd)
         idx = np.expand_dims(xd.argmax(axis=axis), axis)
         np.put_along_axis(dx, idx, g, axis)
@@ -521,17 +517,17 @@ def permute_channels(x: Tensor, perm) -> Tensor:
     return record("permute_channels", (x,), np.ascontiguousarray(x.data[:, perm]), bw)
 
 
-def pad2d(x: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
-    """Zero-pad the trailing two axes of an NCHW tensor."""
+def pad2d(x: Tensor, bottom: int, right: int) -> Tensor:
+    """Zero-pad the bottom and right edges of an NCHW tensor."""
     if x.data.ndim != 4:
         raise ShapeError(f"pad2d expects rank 4, got {x.shape}")
-    if min(top, bottom, left, right) < 0:
+    if min(bottom, right) < 0:
         raise ShapeError("pad amounts must be non-negative")
-    widths = ((0, 0), (0, 0), (top, bottom), (left, right))
+    widths = ((0, 0), (0, 0), (0, bottom), (0, right))
     h, w = x.shape[2], x.shape[3]
 
     def bw(g):
-        return (np.ascontiguousarray(g[:, :, top : top + h, left : left + w]),)
+        return (np.ascontiguousarray(g[:, :, :h, :w]),)
 
     return record("pad2d", (x,), np.pad(x.data, widths), bw)
 

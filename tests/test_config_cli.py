@@ -18,6 +18,7 @@ from hcfnet.data import read_pgm
 from hcfnet.errors import ConfigError, FileFormatError
 from hcfnet.network import NetworkConfig, build_network
 from hcfnet.optim import Adam
+from hcfnet.tensor import Tensor, mul, tsum
 from hcfnet.train import TrainConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -323,14 +324,26 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: max_coords must be at least 1, got {value}\n"
 
-    @pytest.mark.parametrize("max_coords,probed", [(None, 20), (2, 2), (50, 20)])
+    @pytest.mark.parametrize("max_coords,probed", [(None, 1), (2, 2), (50, 50)])
     def test_gradcheck_net_honours_max_coords(self, monkeypatch, max_coords, probed):
         seen = []
         monkeypatch.setattr(
             gradcheck, "check_gradients", lambda fn, targets, **kw: seen.append(kw) or 0.0
         )
         gradcheck.run_case("net", max_coords=max_coords)
-        assert seen == [{"total_coords": probed}]
+        assert seen == [{"max_coords": probed}]
+
+    def test_gradcheck_probes_max_coords_per_tensor(self):
+        a = Tensor(np.arange(1.0, 6.0), requires_grad=True)
+        b = Tensor(np.array([0.5]), requires_grad=True)
+        calls = []
+
+        def fn():
+            calls.append(None)
+            return tsum(mul(mul(a, a), b))
+
+        assert gradcheck.check_gradients(fn, [("a", a), ("b", b)], max_coords=2) < 1e-4
+        assert len(calls) == 1 + 2 * (2 + 1)  # one backward, two probes per coordinate
 
     def test_unknown_key_is_contract_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -394,6 +407,7 @@ class TestCliExitCodes:
             "nan_parameter",
             "config_nested",
             "optimizer_nested",
+            "negative_running_var",
         ],
     )
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, case):
@@ -449,8 +463,12 @@ class TestCliExitCodes:
             blob[start:end] = struct.pack("<I", len(frame)) + frame
         elif case == "bad_optimizer_flag":
             blob[flag_at] = 2
-        elif case == "buffer_shape":
-            network.encoders[0].bn.register_buffer("running_mean", np.zeros(3))
+        elif case in ("buffer_shape", "negative_running_var"):
+            bn = network.encoders[0].bn
+            if case == "buffer_shape":
+                bn.register_buffer("running_mean", np.zeros(3))
+            else:
+                bn.running_var[0] = -1.0
             save_checkpoint(str(full), network, optimizer_state=state, meta={"epoch": 1})
             blob = bytearray(full.read_bytes())
         elif case in ("moment_missing", "moment_shape"):
@@ -476,7 +494,12 @@ class TestCliExitCodes:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(blob))
         # Names and shapes are only known once the config's network is built.
-        checked_on_restore = ("buffer_shape", "moment_missing", "moment_shape")
+        checked_on_restore = (
+            "buffer_shape",
+            "moment_missing",
+            "moment_shape",
+            "negative_running_var",
+        )
         with pytest.raises(FileFormatError):
             (restore_network if case in checked_on_restore else load_checkpoint)(str(bad))
         assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path)]) == 2

@@ -208,13 +208,16 @@ class TestConvTranspose:
     def test_doubles_extent_and_counts(self):
         x = Tensor(np.ones((1, 1, 2, 2)))
         w = Tensor(np.ones((1, 1, 2, 2)))
-        out = conv_transpose2d(x, w)
+        out = conv_transpose2d(x, w, Tensor(np.zeros(1)))
         assert out.shape == (1, 1, 4, 4)
         assert out.data.sum() == 16.0
 
     def test_zero_input(self):
-        out = conv_transpose2d(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.ones((2, 4, 2, 2))))
-        assert np.all(out.data == 0.0)
+        bias = np.arange(4.0)
+        out = conv_transpose2d(
+            Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.ones((2, 4, 2, 2))), Tensor(bias)
+        )
+        assert np.array_equal(out.data, np.broadcast_to(bias.reshape(1, 4, 1, 1), (1, 4, 6, 6)))
 
     def test_matches_naive(self):
         x = rand((2, 3, 4, 5), 0)
@@ -229,17 +232,18 @@ class TestConvTranspose:
         x = rand((1, 3, 4, 4), 5)
         y = rand((1, 5, 8, 8), 6)
         w = rand((3, 5, 2, 2), 7)
-        left = float((conv_transpose2d(Tensor(x), Tensor(w)).data * y).sum())
+        left = float((conv_transpose2d(Tensor(x), Tensor(w), Tensor(np.zeros(5))).data * y).sum())
         right = float((x * conv2d(Tensor(y), Tensor(w), stride=2).data).sum())
         assert abs(left - right) < 1e-10
 
     def test_gradients(self):
         x = Tensor(rand((1, 2, 3, 3), 8), requires_grad=True)
         w = Tensor(rand((2, 3, 2, 2), 9), requires_grad=True)
+        b = Tensor(rand(3, 11))
         field = Tensor(rand((1, 3, 6, 6), 10))
 
         def head(t):
-            return tsum(mul(conv_transpose2d(t, w), field))
+            return tsum(mul(conv_transpose2d(t, w, b), field))
 
         assert finite_difference_check(head, x) < 1e-4
 

@@ -160,6 +160,13 @@ class TestAdamState:
             opt.load_state_dict(state)
         assert opt.lr == 0.05
 
+    def test_load_adopts_moment_arrays(self):
+        p = make_param([1.0, 2.0])
+        opt = Adam([("x", p)])
+        m, v = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+        opt.load_state_dict({"step": 1, "hyper": opt.state_dict()["hyper"], "moments": {"x": (m, v)}})
+        assert opt.m["x"] is m and opt.v["x"] is v
+
     def test_mismatched_state_rejected(self):
         p = make_param([1.0])
         opt = Adam([("x", p)])

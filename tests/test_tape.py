@@ -119,7 +119,7 @@ CASES = {
         (NCHW, -1, lambda x: narrow(x, 1, 1, 2), False),
     ],
     "permute_channels": [(NCHW, -1, lambda x: permute_channels(x, [2, 0, 1]), False)],
-    "pad2d": [(NCHW, -1, lambda x: pad2d(x, 1, 0, 2, 1), False)],
+    "pad2d": [(NCHW, -1, lambda x: pad2d(x, 2, 1), False)],
     "matmul": [
         ((2, 3, 4), -1, lambda x: matmul(x, const((4, 5))), False),
         ((2, 3, 4), -1, lambda x: matmul(x, param((4, 5))), True),
@@ -132,7 +132,7 @@ CASES = {
     ],
     "conv_transpose2d": [
         (NCHW, -1, lambda x: conv_transpose2d(x, param((3, 2, 2, 2)), param((2,))), True),
-        (NCHW, -1, lambda x: conv_transpose2d(x, const((3, 2, 2, 2))), False),
+        (NCHW, -1, lambda x: conv_transpose2d(x, const((3, 2, 2, 2)), const((2,))), False),
     ],
     "max_pool2d": [(NCHW, -1, max_pool2d, True)],
     "bilinear_resize": [

@@ -242,16 +242,17 @@ class TestReductionsAndStructure:
 
     def test_pad2d_values_and_grad(self):
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        y = pad2d(x, 1, 0, 0, 2)
+        y = pad2d(x, 1, 2)
         assert y.shape == (1, 1, 3, 4)
         assert y.data.sum() == 4.0
+        assert np.array_equal(y.data[:, :, :2, :2], x.data)
         backward(tsum(y))
         assert np.array_equal(x.grad, np.ones((1, 1, 2, 2)))
 
     def test_pad2d_zero_widths_pass_values_and_grad(self):
         values = np.arange(6.0).reshape(1, 1, 2, 3)
         x = Tensor(values, requires_grad=True)
-        y = pad2d(x, 0, 0, 0, 0)
+        y = pad2d(x, 0, 0)
         assert np.array_equal(y.data, values)
         backward(tsum(mul(y, Tensor(values + 1.0))))
         assert np.array_equal(x.grad, values + 1.0)
