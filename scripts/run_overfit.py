@@ -4,7 +4,9 @@ Sanity experiment for the whole stack: with every module enabled the network
 should drive its training loss well below the starting value and reach high
 IoU on the scenes it memorizes.  Defaults match the release checklist run
 (8 scenes at 64x64 from data seed 156, init seed 3, batch 4, 500 steps,
-dropout off).
+dropout off).  The last line is PASS when the run meets the release
+criterion (final-to-initial loss ratio below 0.10 and train IoU above 0.8)
+and FAIL otherwise, in which case the script exits 1.
 """
 
 import argparse
@@ -16,6 +18,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hcfnet.network import NetworkConfig
 from hcfnet.train import TrainConfig, train
+
+MAX_LOSS_RATIO = 0.10
+MIN_TRAIN_IOU = 0.8
 
 
 def main() -> int:
@@ -47,10 +52,14 @@ def main() -> int:
     elapsed = time.time() - start
 
     ratio = result.epoch_losses[-1] / result.epoch_losses[0]
+    iou = result.epoch_ious[-1]
     print(f"loss {result.epoch_losses[0]:.4f} -> {result.epoch_losses[-1]:.4f} (ratio {ratio:.4f})")
-    print(f"train iou {result.epoch_ious[-1]:.4f}")
+    print(f"train iou {iou:.4f}")
     print(f"wall {elapsed:.1f}s")
-    return 0
+    passed = ratio < MAX_LOSS_RATIO and iou > MIN_TRAIN_IOU
+    verdict = "PASS" if passed else "FAIL"
+    print(f"{verdict}: needs ratio < {MAX_LOSS_RATIO:.2f} and iou > {MIN_TRAIN_IOU}")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from typing import BinaryIO, Iterable
 
@@ -134,27 +135,38 @@ def save_checkpoint(
     """Serialize config, parameters, running stats and optional training state.
 
     ``meta`` is stored in the optimizer section, so it needs ``optimizer_state``.
+    A synced temp file beside ``path`` replaces it, so a crash keeps the old file.
     """
     if meta is not None and optimizer_state is None:
         raise ContractError("checkpoint meta is stored with the optimizer state, which is missing")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        _write_frame(fh, json.dumps(network.config.to_dict(), sort_keys=True).encode("utf-8"))
-        _write_table(fh, [(n, (p.data,)) for n, p in network.named_parameters()])
-        _write_table(fh, [(n, (b,)) for n, b in network.named_buffers()])
-        if optimizer_state is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            header = {
-                "step": optimizer_state["step"],
-                "hyper": optimizer_state["hyper"],
-                "meta": meta or {},
-            }
-            _write_frame(fh, json.dumps(header, sort_keys=True).encode("utf-8"))
-            moments = optimizer_state["moments"]
-            _write_table(fh, [(n, moments[n]) for n in sorted(moments)])
+    temp = f"{path}.tmp"
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", _VERSION))
+            config = network.config.to_dict()
+            _write_frame(fh, json.dumps(config, sort_keys=True).encode("utf-8"))
+            _write_table(fh, [(n, (p.data,)) for n, p in network.named_parameters()])
+            _write_table(fh, [(n, (b,)) for n, b in network.named_buffers()])
+            if optimizer_state is None:
+                fh.write(struct.pack("<B", 0))
+            else:
+                fh.write(struct.pack("<B", 1))
+                header = {
+                    "step": optimizer_state["step"],
+                    "hyper": optimizer_state["hyper"],
+                    "meta": meta or {},
+                }
+                _write_frame(fh, json.dumps(header, sort_keys=True).encode("utf-8"))
+                moments = optimizer_state["moments"]
+                _write_table(fh, [(n, moments[n]) for n in sorted(moments)])
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
 
 
 def load_checkpoint(path: str) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .checkpoint import restore_network
 from .config import load_configs
-from .data import SyntheticConfig, generate_dataset, load_dataset, read_pgm, save_dataset, write_pgm
+from .data import SyntheticConfig, generate_dataset, load_dataset, read_image, save_dataset, write_pgm
 from .errors import ConfigError, FileFormatError, HcfnetError
 from .gradcheck import CASES, GRADCHECK_TOL, run_all
 from .network import build_network, count_params_macs
@@ -88,7 +88,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {args.threshold}")
     network, _ = restore_network(args.ckpt)
-    image = read_pgm(args.image).astype(np.float64) / 255.0
+    image = read_image(args.image)
     probs = infer_image(network, image)
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.image))[0]

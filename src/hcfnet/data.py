@@ -25,6 +25,7 @@ __all__ = [
     "generate_dataset",
     "write_pgm",
     "read_pgm",
+    "read_image",
     "save_dataset",
     "load_dataset",
 ]
@@ -125,8 +126,8 @@ def write_pgm(path: str, values: np.ndarray) -> None:
 _PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)*(\d+)")
 
 
-def read_pgm(path: str) -> np.ndarray:
-    """Read a binary PGM (P5, maxval <= 255) into a 2-D uint8 array."""
+def _parse_pgm(path: str) -> tuple[np.ndarray, int]:
+    """Raw samples (a read-only 2-D uint8 view) and maxval of a binary PGM."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(b"P5"):
@@ -152,7 +153,18 @@ def read_pgm(path: str) -> np.ndarray:
     image = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     if image.max() > maxval:
         raise FileFormatError(f"{path}: PGM sample {image.max()} exceeds maxval {maxval}")
-    return image.copy()
+    return image, maxval
+
+
+def read_pgm(path: str) -> np.ndarray:
+    """Read a binary PGM (P5, maxval <= 255) into a 2-D uint8 array of its raw samples."""
+    return _parse_pgm(path)[0].copy()
+
+
+def read_image(path: str) -> np.ndarray:
+    """Read a binary PGM as a 2-D float64 array in [0, 1]: each sample over the file's maxval."""
+    image, maxval = _parse_pgm(path)
+    return image.astype(np.float64) / maxval
 
 
 def save_dataset(samples: list[Sample], directory: str) -> None:
@@ -166,7 +178,11 @@ def save_dataset(samples: list[Sample], directory: str) -> None:
 
 
 def load_dataset(directory: str) -> list[Sample]:
-    """Read every image/mask PGM pair in a directory, sorted by name."""
+    """Read every image/mask PGM pair in a directory, sorted by name.
+
+    Each file scales by its own maxval; a mask pixel is foreground above 0.5
+    after scaling, which is exactly a sample above maxval / 2.
+    """
     names = sorted(
         f[:-4]
         for f in os.listdir(directory)
@@ -176,10 +192,14 @@ def load_dataset(directory: str) -> list[Sample]:
         raise FileFormatError(f"no image PGM files found in {directory}")
     samples = []
     for name in names:
+        image_path = os.path.join(directory, f"{name}.pgm")
         mask_path = os.path.join(directory, f"{name}_mask.pgm")
         if not os.path.exists(mask_path):
             raise FileFormatError(f"missing mask file for '{name}'")
-        image = read_pgm(os.path.join(directory, f"{name}.pgm")).astype(np.float64) / 255.0
-        mask = (read_pgm(mask_path) > 127).astype(np.float64)
+        image = read_image(image_path)
+        mask = (read_image(mask_path) > 0.5).astype(np.float64)
+        if image.shape != mask.shape:
+            (h, w), (mh, mw) = image.shape, mask.shape
+            raise FileFormatError(f"{image_path} is {w}x{h} but its mask {mask_path} is {mw}x{mh}")
         samples.append(Sample(image=image[None], mask=mask[None], sample_id=name))
     return samples

@@ -16,6 +16,9 @@ from .tensor import Parameter, _all_finite
 
 __all__ = ["Adam", "check_hyper"]
 
+# Kingma & Ba's defaults, fixed; only the learning rate is settable.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def check_hyper(hyper: dict) -> None:
     """Raise ``ConfigError`` unless ``hyper`` holds exactly lr, beta1, beta2 and
@@ -31,26 +34,19 @@ def check_hyper(hyper: dict) -> None:
 
 
 class Adam:
-    def __init__(
-        self,
-        named_params: list[tuple[str, Parameter]],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        check_hyper({"lr": lr, "beta1": beta1, "beta2": beta2, "eps": eps})
+    def __init__(self, named_params: list[tuple[str, Parameter]], lr: float = 1e-3) -> None:
+        self.lr, self.beta1, self.beta2, self.eps = lr, BETA1, BETA2, EPS
+        check_hyper(self.hyper)
         self.items = list(named_params)
         if len({name for name, _ in self.items}) != len(self.items):
             raise ConfigError("duplicate parameter names passed to Adam")
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.items}
         self.v = {name: np.zeros_like(p.data) for name, p in self.items}
 
-    def zero_grad(self) -> None:
-        for _, param in self.items:
-            param.grad = None
+    @property
+    def hyper(self) -> dict:
+        return {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
 
     def step(self) -> None:
         """Apply one update from the accumulated gradients."""
@@ -75,7 +71,7 @@ class Adam:
     def state_dict(self) -> dict:
         return {
             "step": self.step_count,
-            "hyper": {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps},
+            "hyper": self.hyper,
             "moments": {name: (self.m[name].copy(), self.v[name].copy()) for name, _ in self.items},
         }
 

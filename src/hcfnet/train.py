@@ -17,8 +17,8 @@ from .errors import ConfigError, ShapeError
 from .losses import deep_supervision_loss
 from .metrics import iou_metric, niou_metric
 from .network import Network, NetworkConfig, build_network
-from .optim import Adam, check_hyper
-from .tensor import Tensor, _sigmoid, backward, no_grad
+from .optim import BETA1, BETA2, EPS, Adam, check_hyper
+from .tensor import Tensor, _sigmoid, backward, no_grad, zero_grads
 
 __all__ = ["TrainConfig", "TrainResult", "train", "evaluate", "predict_probs", "infer_image"]
 
@@ -28,15 +28,11 @@ class TrainConfig:
     epochs: int = 8
     batch_size: int = 4
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     data_dir: str | None = None
     synthetic_n: int = 8
     synthetic_seed: int = 0
     image_size: int = 64
-    threshold: float = 0.5
     checkpoint_path: str | None = None
     resume_from: str | None = None
 
@@ -45,7 +41,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        check_hyper({"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps})
+        check_hyper({"lr": self.lr, "beta1": BETA1, "beta2": BETA2, "eps": EPS})
         for name in ("seed", "synthetic_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -53,14 +49,11 @@ class TrainConfig:
             raise ConfigError(f"synthetic_n must be >= 1, got {self.synthetic_n}")
         if self.image_size < 8:
             raise ConfigError(f"image_size must be >= 8, got {self.image_size}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
 
 
 @dataclass
 class TrainResult:
     network: Network
-    optimizer: Adam
     log_lines: list[str] = field(default_factory=list)
     epoch_losses: list[float] = field(default_factory=list)
     epoch_ious: list[float] = field(default_factory=list)
@@ -77,13 +70,6 @@ def load_training_samples(net_config: NetworkConfig, train_config: TrainConfig) 
             seed=train_config.synthetic_seed,
         )
         samples = generate_dataset(synth, train_config.synthetic_n)
-    _check_samples(net_config, samples)
-    return samples
-
-
-def _check_samples(net_config: NetworkConfig, samples: list[Sample]) -> None:
-    if not samples:
-        raise ConfigError("training needs at least one sample")
     shape = samples[0].image.shape
     factor = net_config.extent_multiple
     for sample in samples:
@@ -94,9 +80,8 @@ def _check_samples(net_config: NetworkConfig, samples: list[Sample]) -> None:
             f"network expects {net_config.in_channels} channels, samples have {shape[0]}"
         )
     if shape[1] % factor or shape[2] % factor:
-        raise ConfigError(
-            f"sample extents {shape[1]}x{shape[2]} must be divisible by {factor}"
-        )
+        raise ConfigError(f"sample extents {shape[1]}x{shape[2]} must be divisible by {factor}")
+    return samples
 
 
 def _batch_tensors(samples: list[Sample], indices: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -155,12 +140,7 @@ def infer_image(network: Network, image: np.ndarray) -> np.ndarray:
     return _sigmoid(logits[0, 0, :h, :w])
 
 
-def train(
-    net_config: NetworkConfig,
-    train_config: TrainConfig,
-    samples: list[Sample] | None = None,
-    log=None,
-) -> TrainResult:
+def train(net_config: NetworkConfig, train_config: TrainConfig, log=None) -> TrainResult:
     """Run the training loop and return the network plus per-epoch records.
 
     Emits one ``epoch=<i> loss=<mean> iou=<train iou>`` line per epoch.  When
@@ -171,13 +151,11 @@ def train(
     """
     net_config.validate()
     train_config.validate()
-    if samples is None:
-        samples = load_training_samples(net_config, train_config)
-    else:
-        _check_samples(net_config, samples)
+    samples = load_training_samples(net_config, train_config)
 
-    start_epoch = 1
-    if train_config.resume_from is not None:
+    if train_config.resume_from is None:
+        network, snapshot = build_network(net_config, seed=train_config.seed), None
+    else:
         network, snapshot = restore_network(train_config.resume_from)
         if snapshot["config"] != net_config:
             raise ConfigError("checkpoint config does not match the requested network config")
@@ -189,15 +167,14 @@ def train(
                 f"checkpoint was trained with seed {meta.get('seed')}, "
                 f"got seed {train_config.seed}"
             )
+    optimizer = Adam(list(network.named_parameters()), lr=train_config.lr)
+    start_epoch = 1
+    if snapshot is not None:
         hyper = snapshot["optimizer"]["hyper"]
-        if any(value != getattr(train_config, name) for name, value in hyper.items()):
-            raise ConfigError(f"checkpoint was trained with Adam {hyper}, the config differs")
-        optimizer = _make_adam(network, train_config)
+        if hyper != optimizer.hyper:
+            raise ConfigError(f"checkpoint was trained with Adam {hyper}, not {optimizer.hyper}")
         optimizer.load_state_dict(snapshot["optimizer"])
         start_epoch = meta.get("epoch", 0) + 1
-    else:
-        network = build_network(net_config, seed=train_config.seed)
-        optimizer = _make_adam(network, train_config)
 
     def dump(epoch: int) -> None:
         if train_config.checkpoint_path is not None:
@@ -208,7 +185,7 @@ def train(
                 meta={"epoch": epoch, "seed": train_config.seed},
             )
 
-    result = TrainResult(network=network, optimizer=optimizer)
+    result = TrainResult(network=network)
     dump(start_epoch - 1)
     count = len(samples)
     for epoch in range(start_epoch, train_config.epochs + 1):
@@ -217,13 +194,13 @@ def train(
         for step, start in enumerate(range(0, count, train_config.batch_size)):
             images, masks = _batch_tensors(samples, order[start : start + train_config.batch_size])
             step_rng = np.random.default_rng([train_config.seed, 104729, epoch, step])
-            optimizer.zero_grad()
+            zero_grads(network.parameters())
             logits = network(images, train=True, rng=step_rng)
             loss = deep_supervision_loss(logits, masks, net_config.loss_weights)
             losses.append(loss.item())
             backward(loss)
             optimizer.step()
-        iou = evaluate(network, samples, train_config.batch_size, train_config.threshold)["iou"]
+        iou = evaluate(network, samples, train_config.batch_size)["iou"]
         mean_loss = float(np.mean(losses))
         line = f"epoch={epoch} loss={mean_loss:.6f} iou={iou:.6f}"
         result.log_lines.append(line)
@@ -233,13 +210,3 @@ def train(
             log(line)
         dump(epoch)
     return result
-
-
-def _make_adam(network: Network, tc: TrainConfig) -> Adam:
-    return Adam(
-        list(network.named_parameters()),
-        lr=tc.lr,
-        beta1=tc.beta1,
-        beta2=tc.beta2,
-        eps=tc.eps,
-    )

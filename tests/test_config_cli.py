@@ -14,7 +14,7 @@ from hcfnet import gradcheck
 from hcfnet.checkpoint import load_checkpoint, restore_network, save_checkpoint
 from hcfnet.cli import main
 from hcfnet.config import configs_from_mapping, load_configs, parse_kv_file
-from hcfnet.data import read_pgm
+from hcfnet.data import read_pgm, write_pgm
 from hcfnet.errors import ConfigError, FileFormatError
 from hcfnet.network import NetworkConfig, build_network
 from hcfnet.optim import Adam
@@ -38,15 +38,11 @@ NON_DEFAULT = {
     "epochs": ("3", 3),
     "batch_size": ("2", 2),
     "lr": ("0.01", 0.01),
-    "beta1": ("0.8", 0.8),
-    "beta2": ("0.99", 0.99),
-    "eps": ("1e-7", 1e-7),
     "seed": ("5", 5),
     "data_dir": ("scenes", "scenes"),
     "synthetic_n": ("4", 4),
     "synthetic_seed": ("7", 7),
     "image_size": ("32", 32),
-    "threshold": ("0.4", 0.4),
     "checkpoint_path": ("out/model.ckpt", "out/model.ckpt"),
     "resume_from": ("in/model.ckpt", "in/model.ckpt"),
 }
@@ -260,6 +256,35 @@ class TestCliTrainEvalInfer:
         err = capsys.readouterr().err
         assert "extents must be positive" in err and "Traceback" not in err
 
+    def test_infer_scales_by_maxval(self, tmp_path, capsys):
+        # v / 15 and 17 v / 255 are the same quotient, so they round alike.
+        ckpt = tmp_path / "toy.ckpt"
+        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        save_checkpoint(str(ckpt), build_network(config, seed=0))
+        values = np.random.default_rng(0).integers(0, 16, size=(16, 16), dtype=np.uint8)
+        (tmp_path / "low.pgm").write_bytes(b"P5\n16 16\n15\n" + values.tobytes())
+        write_pgm(str(tmp_path / "full.pgm"), values * np.uint8(17))
+        for stem in ("low", "full"):
+            args = ["--image", str(tmp_path / f"{stem}.pgm"), "--out-dir", str(tmp_path)]
+            assert main(["infer", "--ckpt", str(ckpt)] + args) == 0
+        capsys.readouterr()
+        for kind in ("prob", "mask"):
+            low = (tmp_path / f"low_{kind}.pgm").read_bytes()
+            assert low == (tmp_path / f"full_{kind}.pgm").read_bytes()
+        assert len(set(read_pgm(str(tmp_path / "low_prob.pgm")).ravel())) > 1
+
+    def test_eval_extent_mismatch_is_io_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "toy.ckpt"
+        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        save_checkpoint(str(ckpt), build_network(config, seed=0))
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        write_pgm(str(data_dir / "a.pgm"), np.zeros((16, 16), np.uint8))
+        write_pgm(str(data_dir / "a_mask.pgm"), np.zeros((8, 8), np.uint8))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "a.pgm is 16x16 but its mask" in err and "Traceback" not in err
+
     def test_infer_deterministic_bytes(self, toy_config, tmp_path, capsys):
         cfg, ckpt = toy_config
         data_dir = tmp_path / "data"
@@ -350,6 +375,15 @@ class TestCliExitCodes:
         cfg.write_text("depth = 5\n")
         assert main(["train", "--config", str(cfg)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "threshold"])
+    def test_fixed_training_constant_is_unknown_key(self, tmp_path, capsys, key):
+        # Adam's betas and eps and the train-IoU threshold are not settable.
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text(TOY_CONFIG + f"{key} = 0.5\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: unknown config key '{key}'\n"
 
     def test_bad_checkpoint_is_io_error(self, tmp_path, capsys):
         ckpt = tmp_path / "junk.ckpt"

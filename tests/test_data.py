@@ -15,6 +15,7 @@ from hcfnet.data import (
     generate_dataset,
     generate_sample,
     load_dataset,
+    read_image,
     read_pgm,
     save_dataset,
     write_pgm,
@@ -132,6 +133,18 @@ def _overwrite(args):
     return blob[:at] + bytes([byte]) + blob[at + 1 :]
 
 
+# A valid P5 file at any maxval, with its samples at or below it.
+_any_maxval_pgms = st.integers(1, 255).flatmap(
+    lambda maxval: st.tuples(
+        st.just(maxval),
+        hnp.arrays(
+            np.uint8,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+            elements=st.integers(0, maxval),
+        ),
+    )
+)
+
 _valid_pgms = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5)).map(
     lambda a: b"P5\n%d %d\n255\n" % (a.shape[1], a.shape[0]) + a.tobytes()
 )
@@ -242,6 +255,18 @@ class TestPgm:
             return
         assert image.dtype == np.uint8 and image.ndim == 2 and image.size >= 1
 
+    @given(_any_maxval_pgms)
+    def test_read_image_scales_by_maxval(self, fuzz_path, case):
+        maxval, samples = case
+        with open(fuzz_path, "wb") as fh:
+            fh.write(b"P5\n%d %d\n%d\n" % (samples.shape[1], samples.shape[0], maxval))
+            fh.write(samples.tobytes())
+        image = read_image(fuzz_path)
+        assert image.dtype == np.float64 and image.shape == samples.shape
+        assert ((image >= 0.0) & (image <= 1.0)).all()
+        np.testing.assert_array_equal(image == 1.0, samples == maxval)
+        np.testing.assert_array_equal(read_pgm(fuzz_path), samples)
+
 
 class TestDatasetStorage:
     def test_save_load_round_trip_exact(self, tmp_path):
@@ -267,6 +292,29 @@ class TestDatasetStorage:
         save_dataset(samples, str(tmp_path))
         (tmp_path / f"{samples[0].sample_id}_mask.pgm").unlink()
         with pytest.raises(FileFormatError):
+            load_dataset(str(tmp_path))
+
+    def test_mask_binarised_at_half_its_maxval(self, tmp_path):
+        (tmp_path / "a.pgm").write_bytes(b"P5\n4 1\n255\n" + bytes([0, 60, 200, 255]))
+        (tmp_path / "a_mask.pgm").write_bytes(b"P5\n4 1\n1\n" + bytes([0, 1, 1, 0]))
+        (sample,) = load_dataset(str(tmp_path))
+        np.testing.assert_array_equal(sample.mask, [[[0.0, 1.0, 1.0, 0.0]]])
+        np.testing.assert_array_equal(sample.image, [[[0.0, 60 / 255, 200 / 255, 1.0]]])
+
+    @pytest.mark.parametrize("maxval", [2, 15, 254, 255])
+    def test_mask_threshold_is_above_half(self, tmp_path, maxval):
+        values = np.arange(maxval + 1, dtype=np.uint8)[None]
+        (tmp_path / "a.pgm").write_bytes(b"P5\n%d 1\n255\n" % values.size + values.tobytes())
+        header = b"P5\n%d 1\n%d\n" % (values.size, maxval)
+        (tmp_path / "a_mask.pgm").write_bytes(header + values.tobytes())
+        (sample,) = load_dataset(str(tmp_path))
+        np.testing.assert_array_equal(sample.mask[0], values > maxval / 2)
+
+    def test_extent_mismatch_rejected(self, tmp_path):
+        write_pgm(str(tmp_path / "a.pgm"), np.zeros((16, 16), np.uint8))
+        write_pgm(str(tmp_path / "a_mask.pgm"), np.zeros((8, 8), np.uint8))
+        mismatch = r"a\.pgm is 16x16 but its mask .*a_mask\.pgm is 8x8"
+        with pytest.raises(FileFormatError, match=mismatch):
             load_dataset(str(tmp_path))
 
     def test_empty_directory_rejected(self, tmp_path):

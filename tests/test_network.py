@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hcfnet import checkpoint
 from hcfnet.checkpoint import load_checkpoint, restore_network, save_checkpoint
 from hcfnet.errors import ConfigError, ContractError, FileFormatError, ShapeError
 from hcfnet.losses import deep_supervision_loss
@@ -609,6 +610,27 @@ class TestCheckpoint:
         save_checkpoint(str(path), net, optimizer_state=state, meta={"epoch": 1, "seed": 0})
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "c28a62477a0d04a885c5987f753cc0c121a3fd46cd9c73d5c3c0e4c50bd85db1"
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.ckpt"
+        net = build_network(TOY_FULL, seed=0)
+        state = Adam(list(net.named_parameters())).state_dict()
+        save_checkpoint(str(path), net, optimizer_state=state)
+        before = path.read_bytes()
+        real = checkpoint.tensor_to_bytes
+        calls = []
+
+        def failing(array):
+            calls.append(None)
+            if len(calls) == 5:  # inside the parameter table
+                raise OSError("disk full")
+            return real(array)
+
+        monkeypatch.setattr(checkpoint, "tensor_to_bytes", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), build_network(TOY_FULL, seed=1))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.ckpt"]
 
     def test_meta_without_optimizer_state_rejected(self, tmp_path):
         path = tmp_path / "net.ckpt"

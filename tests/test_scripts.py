@@ -19,3 +19,14 @@ def test_ablation_table_prints_four_rows():
     # parameter and MAC columns of the plain and full networks at 16x16
     assert rows[0].split()[1:3] == ["1944245", "11806976"]
     assert rows[3].split()[1:3] == ["3763070", "20543890"]
+
+
+def test_run_overfit_fails_short_run():
+    args = [sys.executable, str(SCRIPTS / "run_overfit.py"), "--epochs", "1", "--n", "4"]
+    result = subprocess.run(
+        args + ["--size", "16"], capture_output=True, text=True, timeout=300, check=False
+    )
+    assert result.returncode == 1, result.stderr
+    lines = result.stdout.strip().splitlines()
+    assert lines[0].startswith("epoch=1 loss=")
+    assert lines[-1] == "FAIL: needs ratio < 0.10 and iou > 0.8"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hcfnet.checkpoint import load_checkpoint, restore_network
-from hcfnet.data import SyntheticConfig, generate_dataset
+from hcfnet.data import SyntheticConfig, generate_dataset, save_dataset
 from hcfnet.errors import ConfigError, ContractError, ShapeError
 from hcfnet.network import NetworkConfig, build_network
 from hcfnet.optim import Adam
@@ -39,9 +39,9 @@ class TestTrainConfig:
         "kwargs",
         [
             {"lr": float("inf")},
-            {"beta1": float("nan")},
-            {"beta2": 1.0},
-            {"eps": 0.0},
+            {"lr": float("nan")},
+            {"lr": -1e-3},
+            {"lr": True},
             {"seed": -1},
             {"synthetic_seed": -3},
         ],
@@ -86,20 +86,20 @@ class TestTrainLoop:
             toy_train(batch_size=0).validate()
         with pytest.raises(ConfigError):
             toy_train(lr=0.0).validate()
-        with pytest.raises(ConfigError):
-            toy_train(threshold=1.0).validate()
 
-    def test_sample_shape_mismatch_rejected(self):
+    def test_sample_shape_mismatch_rejected(self, tmp_path):
         samples = generate_dataset(SyntheticConfig(height=16, width=16, seed=0), 2)
-        samples += generate_dataset(SyntheticConfig(height=32, width=32, seed=0), 1)
+        samples += generate_dataset(SyntheticConfig(height=32, width=32, seed=1), 1)
+        save_dataset(samples, str(tmp_path))
         with pytest.raises(ShapeError):
-            train(TOY_NET, toy_train(), samples=samples)
+            train(TOY_NET, toy_train(data_dir=str(tmp_path)))
 
-    def test_indivisible_samples_rejected(self):
+    def test_indivisible_samples_rejected(self, tmp_path):
         cfg = NetworkConfig(stages=3, widths=(8, 8, 8), loss_weights=(1.0, 0.5, 0.25))
         samples = generate_dataset(SyntheticConfig(height=18, width=18, seed=0), 2)
-        with pytest.raises(ConfigError):
-            train(cfg, toy_train(), samples=samples)
+        save_dataset(samples, str(tmp_path))
+        with pytest.raises(ConfigError, match="divisible"):
+            train(cfg, toy_train(data_dir=str(tmp_path)))
 
 
 class TestCheckpointing:
@@ -182,7 +182,7 @@ class TestCheckpointing:
         path = str(tmp_path / "model.ckpt")
         train(TOY_NET, toy_train(checkpoint_path=path))
         with pytest.raises(ConfigError, match="Adam"):
-            train(TOY_NET, toy_train(epochs=3, lr=0.5, beta1=0.0, resume_from=path))
+            train(TOY_NET, toy_train(epochs=3, lr=0.5, resume_from=path))
 
 
 class TestEvaluateAndInfer:
