@@ -2,14 +2,15 @@
 
 Convolution is im2col plus a grouped matmul; the im2col gather and its
 scatter adjoint loop only over kernel taps, so each tap is one bulk strided
-copy.  The forward gathers and multiplies in bands of whole output rows, so
-no band's column buffer exceeds ``_BAND_BYTES`` and large frames never
-materialise the full column tensor.  Backward builds the input gradient's
-columns in the same bands, scattering each before the next, and only then
-recomputes the full-extent columns for the weight gradient (its GEMM stays
-unsplit, which keeps its summation order), so the two column buffers are
-never alive together.  All spatial ops define exact adjoints so the tape
-gradients match central differences.
+copy, clipped to the input: zero padding is written into the columns, never
+into a padded copy of the input or its gradient.  The forward gathers and
+multiplies in bands of whole output rows, so no band's column buffer exceeds
+``_BAND_BYTES`` and large frames never materialise the full column tensor.
+Backward builds the input gradient's columns in the same bands, scattering
+each before the next, and only then recomputes the full-extent columns for
+the weight gradient (its GEMM stays unsplit, which keeps its summation
+order), so the two column buffers are never alive together.  All spatial ops
+define exact adjoints so the tape gradients match central differences.
 """
 
 from __future__ import annotations
@@ -47,26 +48,50 @@ def _conv_extent(size: int, kernel: int, stride: int, padding: int, dilation: in
 _BAND_BYTES = 4 << 20
 
 
-def _taps(kh: int, kw: int, stride: int, dilation: int, rows: range, ow: int):
-    """Yield (u, v, index) per kernel tap in row-major order, where
-    ``xp[index]`` is the padded input each output cell in ``rows`` reads
-    through tap (u, v)."""
-    last_row = stride * (len(rows) - 1) + 1
-    last_col = stride * (ow - 1) + 1
+def _clip(first: int, count: int, stride: int, size: int) -> tuple[slice, slice]:
+    """Split the reads ``first + k * stride`` for k < count against [0, size).
+
+    Returns the slice of k whose reads land inside and the slice they read;
+    every other k reads zero padding.
+    """
+    lo = min(count, max(0, -(first // stride)))
+    hi = max(lo, min(count, (size - 1 - first) // stride + 1))
+    if hi == lo:
+        return slice(0, 0), slice(0, 0)
+    start = first + lo * stride
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+def _taps(kh: int, kw: int, stride: int, dilation: int, padding: int, rows: range, ow: int,
+          h: int, w: int):
+    """Yield (u, v, dst, src) per kernel tap in row-major order: cells
+    ``dst`` of the band's [len(rows), ow] output grid read ``x[src]`` of the
+    unpadded [h, w] input through tap (u, v); the others read padding."""
+    cols = [_clip(v * dilation - padding, ow, stride, w) for v in range(kw)]
     for u in range(kh):
-        iu = rows.start * stride + u * dilation
-        for v in range(kw):
-            jv = v * dilation
-            yield u, v, (..., slice(iu, iu + last_row, stride), slice(jv, jv + last_col, stride))
+        di, si = _clip(rows.start * stride + u * dilation - padding, len(rows), stride, h)
+        for v, (dj, sj) in enumerate(cols):
+            yield u, v, (..., di, dj), (..., si, sj)
 
 
 def _gather_taps(
-    xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int, rows: range, ow: int
+    x: np.ndarray, kh: int, kw: int, stride: int, dilation: int, padding: int, rows: range, ow: int
 ) -> np.ndarray:
-    n, c = xp.shape[:2]
+    n, c, h, w = x.shape
     col = np.empty((n, c, kh, kw, len(rows), ow))
-    for u, v, index in _taps(kh, kw, stride, dilation, rows, ow):
-        col[:, :, u, v] = xp[index]
+    for u, v, dst, src in _taps(kh, kw, stride, dilation, padding, rows, ow, h, w):
+        tap = col[:, :, u, v]
+        tap[dst] = x[src]
+        _, di, dj = dst
+        # Zero only the border strips whose reads fall in the padding.
+        if di.start:
+            tap[..., : di.start, :] = 0.0
+        if di.stop < len(rows):
+            tap[..., di.stop :, :] = 0.0
+        if dj.start:
+            tap[..., di, : dj.start] = 0.0
+        if dj.stop < ow:
+            tap[..., di, dj.stop :] = 0.0
     return col
 
 
@@ -99,15 +124,10 @@ def conv2d(
     positions = oh * ow
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
 
-    def padded(xd: np.ndarray) -> np.ndarray:
-        if not padding:
-            return xd
-        return np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    def columns(xp: np.ndarray, rows: range) -> np.ndarray:
+    def columns(xd: np.ndarray, rows: range) -> np.ndarray:
         if pointwise:
-            return xp[:, :, rows.start : rows.stop].reshape(n, groups, c_per_g, len(rows) * ow)
-        col = _gather_taps(xp, kh, kw, stride, dilation, rows, ow)
+            return xd[:, :, rows.start : rows.stop].reshape(n, groups, c_per_g, len(rows) * ow)
+        col = _gather_taps(xd, kh, kw, stride, dilation, padding, rows, ow)
         return col.reshape(n, groups, c_per_g * kh * kw, len(rows) * ow)
 
     w2 = weight.data.reshape(groups, o_per_g, c_per_g * kh * kw)
@@ -115,30 +135,28 @@ def conv2d(
     outm = out.reshape(n, groups, o_per_g, positions)
     band = oh if pointwise else max(1, _BAND_BYTES // (n * c * kh * kw * ow * 8))
     bands = [range(r0, min(r0 + band, oh)) for r0 in range(0, oh, band)]
-    xp = padded(x.data)
     for rows in bands:
-        np.matmul(w2, columns(xp, rows), out=outm[..., rows.start * ow : rows.stop * ow])
+        np.matmul(w2, columns(x.data, rows), out=outm[..., rows.start * ow : rows.stop * ow])
     if bias is not None:
         out += bias.data.reshape(1, out_c, 1, 1)
 
     def grad_input(g4: np.ndarray) -> np.ndarray:
-        """Scatter each band's column gradient into the padded input.
+        """Scatter each band's column gradient into the input; taps that
+        read padding drop their share.
 
-        Bands run last to first so every padded pixel still receives its
-        taps in ascending (u, v) order, as a single full-extent scatter would.
+        Bands run last to first so every pixel still receives its taps in
+        ascending (u, v) order, as a single full-extent scatter would.
         """
         wt = w2.swapaxes(1, 2)
         if pointwise:
             return np.matmul(wt, g4).reshape(n, c, h, w)
-        dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        dx = np.zeros((n, c, h, w))
         for rows in reversed(bands):
             dcol = np.matmul(wt, g4[..., rows.start * ow : rows.stop * ow])
             dcol = dcol.reshape(n, c, kh, kw, len(rows), ow)
-            for u, v, index in _taps(kh, kw, stride, dilation, rows, ow):
-                dxp[index] += dcol[:, :, u, v]
-        if padding:
-            dxp = dxp[:, :, padding : padding + h, padding : padding + w]
-        return np.ascontiguousarray(dxp)
+            for u, v, dst, src in _taps(kh, kw, stride, dilation, padding, rows, ow, h, w):
+                dx[src] += dcol[:, :, u, v][dst]
+        return dx
 
     x_grad = x.requires_grad
     x_saved = x.data if weight.requires_grad else None  # read by the weight gradient
@@ -151,7 +169,7 @@ def conv2d(
         grad_x = grad_input(g4) if x_grad else None
         grad_w = None
         if x_saved is not None:
-            colm = columns(padded(x_saved), range(oh))
+            colm = columns(x_saved, range(oh))
             grad_w = np.matmul(g4, colm.swapaxes(2, 3)).sum(axis=0).reshape(w_shape)
         if not has_bias:
             return grad_x, grad_w
@@ -221,28 +239,28 @@ def max_pool2d(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d needs even spatial extents, got {h}x{w}")
-    oh, ow = h // 2, w // 2
     xd = x.data
+    # Window element (u, v) of every window, in row-major order.
+    taps = [(..., slice(u, None, 2), slice(v, None, 2)) for u in (0, 1) for v in (0, 1)]
 
-    def windows() -> np.ndarray:
-        return (
-            xd.reshape(n, c, oh, 2, ow, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh, ow, 4)
-        )
+    def peak() -> np.ndarray:
+        out = np.maximum(xd[taps[0]], xd[taps[1]])
+        np.maximum(out, xd[taps[2]], out=out)
+        np.maximum(out, xd[taps[3]], out=out)
+        return out
 
     def bw(gout):
-        idx = windows().argmax(axis=-1)
-        dwin = np.zeros((n, c, oh, ow, 4))
-        np.put_along_axis(dwin, idx[..., None], gout[..., None], axis=-1)
-        dx = (
-            dwin.reshape(n, c, oh, ow, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
-        return (np.ascontiguousarray(dx),)
+        top = peak()
+        dx = np.zeros((n, c, h, w))
+        free = np.ones(top.shape, dtype=bool)
+        for tap in taps:
+            hit = xd[tap] == top
+            hit &= free
+            np.copyto(dx[tap], gout, where=hit)
+            free &= ~hit
+        return (dx,)
 
-    return record("max_pool2d", (x,), np.ascontiguousarray(windows().max(axis=-1)), bw)
+    return record("max_pool2d", (x,), peak(), bw)
 
 
 def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
@@ -259,6 +277,33 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     np.add.at(m, (rows, np.clip(lo, 0, n_in - 1)), 1.0 - t)
     np.add.at(m, (rows, np.clip(lo + 1, 0, n_in - 1)), t)
     return m
+
+
+# Output cells per interpolation GEMM.  A block multiplies only the span of
+# source cells its outputs weight; 64 or fewer outputs make one block that
+# reads every source cell, the dense product itself.
+_RESAMPLE_BLOCK = 64
+
+
+def _resample(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """``m @ x`` along axis -2 (``axis=-2``) or ``x @ m.T`` along axis -1,
+    in blocks of ``_RESAMPLE_BLOCK`` rows of m."""
+    n_out, n_in = m.shape
+    shape = list(x.shape)
+    shape[axis] = n_out
+    out = np.empty(shape)
+    block = min(n_out, _RESAMPLE_BLOCK)
+    for r0 in range(0, n_out, block):
+        rows = slice(r0, r0 + block)
+        span = slice(0, n_in)
+        if block < n_out:
+            used = (m[rows] != 0).any(axis=0)
+            span = slice(int(used.argmax()), n_in - int(used[::-1].argmax()))
+        if axis == -2:
+            np.matmul(m[rows, span], x[..., span, :], out=out[..., rows, :])
+        else:
+            np.matmul(x[..., span], m[rows, span].T, out=out[..., rows])
+    return out
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -278,18 +323,17 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     mw = _interp_matrix(w, out_w) if out_w != w else None
     out = x.data
     if mh is not None:
-        out = np.matmul(mh, out)
+        out = _resample(mh, out, -2)
     if mw is not None:
-        out = np.matmul(out, mw.T)
-    out = np.ascontiguousarray(out)
+        out = _resample(mw, out, -1)
 
     def bw(gout):
         g = gout
         if mw is not None:
-            g = np.matmul(g, mw)
+            g = _resample(mw.T, g, -1)
         if mh is not None:
-            g = np.matmul(mh.T, g)
-        return (np.ascontiguousarray(g),)
+            g = _resample(mh.T, g, -2)
+        return (g,)
 
     return record("bilinear_resize", (x,), out, bw)
 
@@ -385,7 +429,9 @@ def batch_norm(
         mu, s = running_mean.reshape(chan), np.sqrt(running_var + _BN_EPS).reshape(chan)
         centered = x.data - mu
     g4 = gamma.data.reshape(chan)
-    out = centered / s * g4 + beta.data.reshape(chan)
+    out = centered / s
+    out *= g4
+    out += beta.data.reshape(chan)
     saved = x.data if train else (centered if gamma.requires_grad else None)
     x_grad = x.requires_grad
 

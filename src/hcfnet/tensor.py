@@ -340,7 +340,8 @@ def relu(x: Tensor) -> Tensor:
 def _sigmoid(values: np.ndarray) -> np.ndarray:
     # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
     # below.  Dividing in place holds only e and 1 + e at full size.
-    e = np.exp(-np.abs(values))
+    e = np.abs(values)
+    np.exp(np.negative(e, out=e), out=e)
     d = 1.0 + e
     np.divide(e, d, out=e)
     np.divide(1.0, d, out=e, where=values >= 0)

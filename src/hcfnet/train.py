@@ -8,6 +8,7 @@ continues the exact trajectory of an uninterrupted run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -91,14 +92,21 @@ def _batch_tensors(samples: list[Sample], indices: np.ndarray) -> tuple[Tensor, 
 
 
 def predict_probs(network: Network, samples: list[Sample], batch_size: int = 4) -> list[np.ndarray]:
-    """Finest-scale probability map per sample, eval mode, no gradients."""
+    """Finest-scale probability map per sample, eval mode, no gradients.
+
+    A batch holds up to ``batch_size`` consecutive samples of one extent; a
+    change of extent starts a new batch, so each image is scored at its own.
+    """
     probs: list[np.ndarray] = []
+    stop = 0
     with no_grad():
-        for start in range(0, len(samples), batch_size):
-            chunk = np.arange(start, min(start + batch_size, len(samples)))
-            images, _ = _batch_tensors(samples, chunk)
-            logits = network(images, train=False)[0].data
-            probs.extend(_sigmoid(logits[i, 0]) for i in range(len(chunk)))
+        for _, run in groupby(samples, key=lambda sample: sample.image.shape):
+            first, stop = stop, stop + len(list(run))
+            for start in range(first, stop, batch_size):
+                chunk = np.arange(start, min(start + batch_size, stop))
+                images, _ = _batch_tensors(samples, chunk)
+                logits = network(images, train=False)[0].data
+                probs.extend(_sigmoid(logits[i, 0]) for i in range(len(chunk)))
     return probs
 
 

@@ -95,6 +95,102 @@ def bilinear_naive(x, out_h, out_w):
     return out
 
 
+def conv2d_padded(x, w, b, gout, stride=1, padding=0, dilation=1, groups=1, band=None):
+    """conv2d as it ran on a zero-padded copy of its input: the tap gather
+    and scatter index the padded array, and the input gradient is cropped
+    from a padded buffer.  Returns (out, grad_x, grad_w, grad_b) for the
+    upstream gradient ``gout``.
+
+    Not a loop oracle: it repeats the package's GEMMs in the same bands of
+    ``band`` output rows (all rows when None), so ``conv2d`` must match it
+    bit for bit.
+    """
+    n, c, h, w_in = x.shape
+    out_c, c_per_g, kh, kw = w.shape
+    oh = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
+    ow = (w_in + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+    o_per_g = out_c // groups
+    bands = [range(r0, min(r0 + (band or oh), oh)) for r0 in range(0, oh, band or oh)]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+    def taps(rows):
+        last_row = stride * (len(rows) - 1) + 1
+        last_col = stride * (ow - 1) + 1
+        for u in range(kh):
+            iu = rows.start * stride + u * dilation
+            for v in range(kw):
+                jv = v * dilation
+                rows_read = slice(iu, iu + last_row, stride)
+                yield u, v, (..., rows_read, slice(jv, jv + last_col, stride))
+
+    def columns(rows):
+        col = np.empty((n, c, kh, kw, len(rows), ow))
+        for u, v, index in taps(rows):
+            col[:, :, u, v] = xp[index]
+        return col.reshape(n, groups, c_per_g * kh * kw, len(rows) * ow)
+
+    w2 = w.reshape(groups, o_per_g, c_per_g * kh * kw)
+    out = np.empty((n, out_c, oh, ow))
+    outm = out.reshape(n, groups, o_per_g, oh * ow)
+    for rows in bands:
+        np.matmul(w2, columns(rows), out=outm[..., rows.start * ow : rows.stop * ow])
+    if b is not None:
+        out += b.reshape(1, out_c, 1, 1)
+    g4 = gout.reshape(n, groups, o_per_g, oh * ow)
+    wt = w2.swapaxes(1, 2)
+    dxp = np.zeros(xp.shape)
+    for rows in reversed(bands):
+        dcol = np.matmul(wt, g4[..., rows.start * ow : rows.stop * ow])
+        dcol = dcol.reshape(n, c, kh, kw, len(rows), ow)
+        for u, v, index in taps(rows):
+            dxp[index] += dcol[:, :, u, v]
+    grad_x = dxp[:, :, padding : padding + h, padding : padding + w_in]
+    grad_w = np.matmul(g4, columns(range(oh)).swapaxes(2, 3)).sum(axis=0).reshape(w.shape)
+    grad_b = None if b is None else gout.sum(axis=(0, 2, 3))
+    return out, grad_x, grad_w, grad_b
+
+
+def max_pool2d_windows(x, gout):
+    """2x2 pooling through a copy of every window: the maximum over a
+    length-4 window axis, and the gradient put at each window's argmax (the
+    first maximum in row-major order).  Returns (out, grad_x)."""
+    n, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    windows = x.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
+    dwin = np.zeros((n, c, oh, ow, 4))
+    np.put_along_axis(dwin, windows.argmax(axis=-1)[..., None], gout[..., None], axis=-1)
+    dx = dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return windows.max(axis=-1), dx
+
+
+def bilinear_dense(x, out_h, out_w, gout=None):
+    """Bilinear resampling as two dense GEMMs with the full interpolation
+    matrices, and its adjoint for ``gout``.  Returns (out, grad_x).
+
+    Reuses the package's ``_interp_matrix`` on purpose: the banded
+    ``bilinear_resize`` must match these products bit for bit at the
+    network's power-of-two extents.
+    """
+    from hcfnet.ops import _interp_matrix
+
+    h, w = x.shape[2:]
+    mh = _interp_matrix(h, out_h) if out_h != h else None
+    mw = _interp_matrix(w, out_w) if out_w != w else None
+    out = x
+    if mh is not None:
+        out = np.matmul(mh, out)
+    if mw is not None:
+        out = np.matmul(out, mw.T)
+    if gout is None:
+        return out, None
+    g = gout
+    if mw is not None:
+        g = np.matmul(g, mw)
+    if mh is not None:
+        g = np.matmul(mh.T, g)
+    return out, g
+
+
 def softmax_naive(x, axis):
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)

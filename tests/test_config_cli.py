@@ -14,12 +14,13 @@ from hcfnet import gradcheck
 from hcfnet.checkpoint import load_checkpoint, restore_network, save_checkpoint
 from hcfnet.cli import main
 from hcfnet.config import configs_from_mapping, load_configs, parse_kv_file
-from hcfnet.data import read_pgm, write_pgm
+from hcfnet.data import load_dataset, read_pgm, write_pgm
 from hcfnet.errors import ConfigError, FileFormatError
+from hcfnet.metrics import iou_metric, niou_metric
 from hcfnet.network import NetworkConfig, build_network
 from hcfnet.optim import Adam
 from hcfnet.tensor import Tensor, mul, tsum
-from hcfnet.train import TrainConfig
+from hcfnet.train import TrainConfig, predict_probs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -284,6 +285,31 @@ class TestCliTrainEvalInfer:
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 2
         err = capsys.readouterr().err
         assert "a.pgm is 16x16 but its mask" in err and "Traceback" not in err
+
+    def test_eval_mixed_extents_scores_each_at_its_own(self, tmp_path, capsys):
+        ckpt = tmp_path / "toy.ckpt"
+        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        save_checkpoint(str(ckpt), build_network(config, seed=0))
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        rng = np.random.default_rng(25)
+        for stem, size in (("a", 32), ("b", 48), ("c", 32)):
+            image = rng.integers(0, 256, size=(size, size), dtype=np.uint8)
+            mask = np.where(image > 200, 255, 0).astype(np.uint8)
+            write_pgm(str(data_dir / f"{stem}.pgm"), image)
+            write_pgm(str(data_dir / f"{stem}_mask.pgm"), mask)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        network, _ = restore_network(str(ckpt))
+        a, b, c = load_dataset(str(data_dir))
+        small = predict_probs(network, [a, c])
+        probs = [small[0], predict_probs(network, [b])[0], small[1]]
+        masks = [sample.mask[0] for sample in (a, b, c)]
+        assert printed == [
+            f"iou={iou_metric(probs, masks):.6f}",
+            f"niou={niou_metric(probs, masks):.6f}",
+            "n_images=3",
+        ]
 
     def test_infer_deterministic_bytes(self, toy_config, tmp_path, capsys):
         cfg, ckpt = toy_config

@@ -28,12 +28,15 @@ from reference import (
     batch_norm_composed,
     batch_norm_eval_composed,
     batch_norm_train_naive,
+    bilinear_dense,
     bilinear_naive,
     channel_conv1d_naive,
     conv2d_naive,
+    conv2d_padded,
     conv_transpose2d_naive,
     fold_patches_naive,
     max_pool2d_naive,
+    max_pool2d_windows,
     softmax_naive,
 )
 
@@ -174,6 +177,11 @@ class TestConv2dBands:
         # bitwise what a single band gives.
         for got, want in zip(grads, run(sys.maxsize)[1]):
             assert np.array_equal(got, want)
+        # Clipping taps to the input must give what a zero-padded copy gives.
+        padded = conv2d_padded(x, wt, b, field.data, stride, padding, dilation, groups,
+                               band_rows)
+        for got, want in zip([out, *grads], padded):
+            assert np.array_equal(got, want)
 
     def test_frame_bitwise_equal_to_single_band(self, monkeypatch):
         # The 16-channel 3x3 convs at 256x256 need 75 MB of columns, so the
@@ -190,9 +198,10 @@ class TestConv2dBands:
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((1, 16, 256, 256)))
         w = Tensor(rng.standard_normal((16, 16, 3, 3)))
+        # The output and one band's columns: the taps read x itself, with
+        # no padded copy of it.
         output = 16 * 256 * 256 * 8
-        padded = 16 * 258 * 258 * 8
-        budget = output + padded + ops._BAND_BYTES + (1 << 20)
+        budget = output + ops._BAND_BYTES + (1 << 20)
         tracemalloc.start()
         try:
             with no_grad():
@@ -266,6 +275,27 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             max_pool2d(Tensor(np.zeros((1, 1, 3, 4))))
 
+    def test_ties_and_signed_zeros_match_window_copy(self):
+        # Channel p ties the window maximum at the positions of subset p + 1
+        # of the four: at 0.0 or -0.0 (a random sign per cell) in batch
+        # entries 0 and 1, at 1.5 in entry 2; the other positions lie below.
+        rng = np.random.default_rng(18)
+        windows = rng.standard_normal((3, 15, 4, 5, 4)) - 10.0
+        for p in range(15):
+            for k in range(4):
+                if (p + 1) >> k & 1:
+                    for entry, top in enumerate((0.0, 0.0, 1.5)):
+                        sign = rng.choice([-1.0, 1.0], size=(4, 5)) if top == 0.0 else 1.0
+                        windows[entry, p, :, :, k] = sign * top
+        x = windows.reshape(3, 15, 4, 5, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(3, 15, 8, 10)
+        gout = rand((3, 15, 4, 5), 19)
+        leaf = Tensor(x, requires_grad=True)
+        out = max_pool2d(leaf)
+        backward(tsum(mul(out, Tensor(gout))))
+        want_out, want_grad = max_pool2d_windows(x, gout)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(leaf.grad, want_grad)
+
     def test_gradients(self):
         x = Tensor(rand((1, 2, 4, 4), 12), requires_grad=True)
         field = Tensor(rand((1, 2, 2, 2), 13))
@@ -300,6 +330,55 @@ class TestBilinearResize:
         x = rand((2, 2, 4, 5), 15)
         out = bilinear_resize(Tensor(x), *out_hw)
         assert np.allclose(out.data, bilinear_naive(x, *out_hw), atol=1e-12)
+
+    @pytest.mark.parametrize("size, batch, grad", [(64, 4, True), (256, 1, False),
+                                                   (512, 1, False)])
+    def test_network_shapes_bitwise_equal_to_dense(self, monkeypatch, size, batch, grad):
+        import hcfnet.dasi
+        import hcfnet.network
+        import hcfnet.ppa
+
+        shapes = set()
+
+        def recording(x, out_h, out_w):
+            shapes.add((x.shape, out_h, out_w))
+            return bilinear_resize(x, out_h, out_w)
+
+        for module in (hcfnet.dasi, hcfnet.network, hcfnet.ppa):
+            monkeypatch.setattr(module, "bilinear_resize", recording)
+        net = Network(NetworkConfig(), seed=3)
+        with no_grad():
+            net(Tensor(rand((batch, 1, size, size), 20)), train=False)
+        assert len(shapes) >= 5
+        for k, (shape, out_h, out_w) in enumerate(sorted(shapes)):
+            x = rand(shape, 21 + k)
+            gout = rand(shape[:2] + (out_h, out_w), 22 + k) if grad else None
+            leaf = Tensor(x, requires_grad=grad)
+            out = bilinear_resize(leaf, out_h, out_w)
+            if grad:
+                backward(tsum(mul(out, Tensor(gout))))
+            want_out, want_grad = bilinear_dense(x, out_h, out_w, gout)
+            assert np.array_equal(out.data, want_out), (shape, out_h, out_w)
+            if grad:
+                assert np.array_equal(leaf.grad, want_grad), (shape, out_h, out_w)
+
+    @pytest.mark.parametrize(
+        "shape, out_hw",
+        [((1, 2, 17, 13), (272, 208)), ((2, 2, 136, 104), (272, 208)),
+         ((1, 2, 200, 130), (50, 65)), ((1, 2, 150, 3), (1, 1)), ((1, 1, 65, 70), (130, 3))],
+    )
+    def test_odd_extents_match_dense(self, shape, out_hw):
+        # Off powers of two a block's shorter GEMM may round the last bit
+        # differently from the dense product, as a change of BLAS thread
+        # count already does for these frames.
+        x = rand(shape, 23)
+        gout = rand(shape[:2] + out_hw, 24)
+        leaf = Tensor(x, requires_grad=True)
+        out = bilinear_resize(leaf, *out_hw)
+        backward(tsum(mul(out, Tensor(gout))))
+        want_out, want_grad = bilinear_dense(x, *out_hw, gout)
+        assert np.allclose(out.data, want_out, rtol=0, atol=1e-12)
+        assert np.allclose(leaf.grad, want_grad, rtol=0, atol=1e-12)
 
     def test_gradients(self):
         x = Tensor(rand((1, 2, 3, 4), 16), requires_grad=True)
