@@ -87,11 +87,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_infer(args: argparse.Namespace) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {args.threshold}")
+    image_dir = os.path.dirname(args.image) or "."
+    stem = os.path.splitext(os.path.basename(args.image))[0]
+    truth = os.path.join(image_dir, f"{stem}_mask.pgm")
+    if os.path.exists(truth) and os.path.isdir(args.out_dir):
+        if os.path.samefile(image_dir, args.out_dir):
+            raise FileExistsError(f"--out-dir would overwrite dataset mask {truth}")
     network, _ = restore_network(args.ckpt)
     image = read_image(args.image)
     probs = infer_image(network, image)
     os.makedirs(args.out_dir, exist_ok=True)
-    stem = os.path.splitext(os.path.basename(args.image))[0]
     prob_path = os.path.join(args.out_dir, f"{stem}_prob.pgm")
     mask_path = os.path.join(args.out_dir, f"{stem}_mask.pgm")
     write_pgm(prob_path, np.round(probs * 255.0).astype(np.uint8))

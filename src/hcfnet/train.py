@@ -91,22 +91,24 @@ def _batch_tensors(samples: list[Sample], indices: np.ndarray) -> tuple[Tensor, 
     return Tensor(images), Tensor(masks)
 
 
-def predict_probs(network: Network, samples: list[Sample], batch_size: int = 4) -> list[np.ndarray]:
-    """Finest-scale probability map per sample, eval mode, no gradients.
+def predict_probs(network: Network, images: list[np.ndarray], batch_size: int = 4) -> list[np.ndarray]:
+    """Finest-scale probability map per [C, H, W] image, eval mode, no gradients.
 
-    A batch holds up to ``batch_size`` consecutive samples of one extent; a
+    A batch holds up to ``batch_size`` consecutive images of one extent; a
     change of extent starts a new batch, so each image is scored at its own.
+    Each batch is zero-padded on the bottom and right up to the stride the
+    stage count requires, and each map is cropped back to its image.
     """
+    factor = network.config.extent_multiple
     probs: list[np.ndarray] = []
-    stop = 0
     with no_grad():
-        for _, run in groupby(samples, key=lambda sample: sample.image.shape):
-            first, stop = stop, stop + len(list(run))
-            for start in range(first, stop, batch_size):
-                chunk = np.arange(start, min(start + batch_size, stop))
-                images, _ = _batch_tensors(samples, chunk)
-                logits = network(images, train=False)[0].data
-                probs.extend(_sigmoid(logits[i, 0]) for i in range(len(chunk)))
+        for (_, h, w), same_extent in groupby(images, key=np.shape):
+            run = list(same_extent)
+            pad = ((0, 0), (0, 0), (0, -h % factor), (0, -w % factor))
+            for start in range(0, len(run), batch_size):
+                batch = np.pad(np.stack(run[start : start + batch_size]), pad)
+                logits = network(Tensor(batch), train=False)[0].data
+                probs.extend(_sigmoid(logit[0, :h, :w]) for logit in logits)
     return probs
 
 
@@ -119,7 +121,7 @@ def evaluate(
     """Dataset IoU and normalized IoU of the finest-scale predictions."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
-    probs = predict_probs(network, samples, batch_size)
+    probs = predict_probs(network, [sample.image for sample in samples], batch_size)
     masks = [sample.mask[0] for sample in samples]
     return {
         "iou": iou_metric(probs, masks, threshold),
@@ -129,23 +131,11 @@ def evaluate(
 
 
 def infer_image(network: Network, image: np.ndarray) -> np.ndarray:
-    """Probability map for one [H, W] image in [0, 1], padding as needed.
-
-    The image is zero-padded on the bottom and right up to the stride the
-    stage count requires, then the output is cropped back.
-    """
+    """Probability map for one [H, W] image in [0, 1], padded and cropped
+    as ``predict_probs`` does."""
     if image.ndim != 2:
         raise ShapeError(f"infer_image expects a 2-D image, got shape {image.shape}")
-    if network.config.in_channels != 1:
-        raise ConfigError("single-image inference requires an in_channels=1 network")
-    h, w = image.shape
-    factor = network.config.extent_multiple
-    pad_h = (-h) % factor
-    pad_w = (-w) % factor
-    padded = np.pad(image, ((0, pad_h), (0, pad_w)))
-    with no_grad():
-        logits = network(Tensor(padded[None, None]), train=False)[0].data
-    return _sigmoid(logits[0, 0, :h, :w])
+    return predict_probs(network, [image[None]], batch_size=1)[0]
 
 
 def train(net_config: NetworkConfig, train_config: TrainConfig, log=None) -> TrainResult:

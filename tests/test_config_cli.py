@@ -20,7 +20,7 @@ from hcfnet.metrics import iou_metric, niou_metric
 from hcfnet.network import NetworkConfig, build_network
 from hcfnet.optim import Adam
 from hcfnet.tensor import Tensor, mul, tsum
-from hcfnet.train import TrainConfig, predict_probs
+from hcfnet.train import TrainConfig, infer_image, predict_probs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -302,14 +302,52 @@ class TestCliTrainEvalInfer:
         printed = capsys.readouterr().out.splitlines()
         network, _ = restore_network(str(ckpt))
         a, b, c = load_dataset(str(data_dir))
-        small = predict_probs(network, [a, c])
-        probs = [small[0], predict_probs(network, [b])[0], small[1]]
+        small = predict_probs(network, [a.image, c.image])
+        probs = [small[0], predict_probs(network, [b.image])[0], small[1]]
         masks = [sample.mask[0] for sample in (a, b, c)]
         assert printed == [
             f"iou={iou_metric(probs, masks):.6f}",
             f"niou={niou_metric(probs, masks):.6f}",
             "n_images=3",
         ]
+
+    def test_eval_pads_like_infer(self, tmp_path, capsys):
+        ckpt = tmp_path / "toy.ckpt"
+        config = NetworkConfig(stages=3, widths=(8, 8, 8), loss_weights=(1.0, 0.5, 0.25))
+        save_checkpoint(str(ckpt), build_network(config, seed=0))
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        image = np.random.default_rng(26).integers(0, 256, size=(30, 30), dtype=np.uint8)
+        write_pgm(str(data_dir / "a.pgm"), image)
+        write_pgm(str(data_dir / "a_mask.pgm"), np.where(image > 200, 255, 0).astype(np.uint8))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        network, _ = restore_network(str(ckpt))
+        (sample,) = load_dataset(str(data_dir))
+        probs = [infer_image(network, sample.image[0])]
+        masks = [sample.mask[0]]
+        assert printed == [
+            f"iou={iou_metric(probs, masks):.6f}",
+            f"niou={niou_metric(probs, masks):.6f}",
+            "n_images=1",
+        ]
+
+    def test_infer_refuses_to_overwrite_dataset_mask(self, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "toy.ckpt"
+        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        save_checkpoint(str(ckpt), build_network(config, seed=0))
+        data_dir = tmp_path / "data"
+        main(["gen-data", "--out", str(data_dir), "--n", "1", "--size", "32"])
+        mask = data_dir / "sample-0-00000_mask.pgm"
+        before = mask.read_bytes()
+        capsys.readouterr()
+        monkeypatch.chdir(data_dir)
+        assert main(["infer", "--ckpt", str(ckpt), "--image", "sample-0-00000.pgm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sample-0-00000_mask.pgm" in err
+        assert "Traceback" not in err
+        assert mask.read_bytes() == before
+        assert not (data_dir / "sample-0-00000_prob.pgm").exists()
 
     def test_infer_deterministic_bytes(self, toy_config, tmp_path, capsys):
         cfg, ckpt = toy_config

@@ -12,7 +12,14 @@ from hcfnet.errors import ConfigError, ContractError, ShapeError
 from hcfnet.network import NetworkConfig, build_network
 from hcfnet.optim import Adam
 from hcfnet.tensor import Tensor, no_grad
-from hcfnet.train import TrainConfig, evaluate, infer_image, load_training_samples, train
+from hcfnet.train import (
+    TrainConfig,
+    evaluate,
+    infer_image,
+    load_training_samples,
+    predict_probs,
+    train,
+)
 
 TOY_NET = NetworkConfig(stages=2, widths=(8, 8), dropout=0.1, loss_weights=(1.0, 0.5))
 
@@ -225,6 +232,15 @@ class TestEvaluateAndInfer:
         np.testing.assert_allclose(
             infer_image(net, image), infer_image(net, padded)[:15], atol=1e-12
         )
+
+    def test_predict_probs_keeps_each_extent(self):
+        config = NetworkConfig(stages=3, widths=(8, 8, 8), loss_weights=(1.0, 0.5, 0.25))
+        net = build_network(config, seed=6)
+        rng = np.random.default_rng(8)
+        images = [rng.uniform(size=(1, n, n)) for n in (30, 30, 32, 30)]
+        probs = predict_probs(net, images, batch_size=2)
+        assert [p.shape for p in probs] == [(30, 30), (30, 30), (32, 32), (30, 30)]
+        assert all(np.all((p >= 0.0) & (p <= 1.0)) for p in probs)
 
     def test_infer_rejects_bad_rank(self):
         net = build_network(TOY_NET, seed=4)
