@@ -1,13 +1,15 @@
 """Binary checkpoint format for networks and optimizer state.
 
 Layout (little-endian): magic ``HCFC``, u32 format version, one JSON frame
-holding the network config, the parameter table, the batch-norm buffer
-table, and an optional optimizer section (JSON frame with step/hyper/meta
-plus the moment table).  Frames are u32 length prefixes.  A table is a u32
-row count, then per row a name frame and one ``HCFT`` blob frame per array:
-one for parameters and buffers, two (first then second moment) for the
-moments, which are sorted by name.  Names are unique within a table.  The
-``HCFT`` blobs round-trip float64 payloads bitwise.
+holding the network config (its fields, plus the ``stages`` and
+``loss_weights`` they derive and the fixed MDCR ``dilations``, all of which
+must match on load), the parameter table, the batch-norm buffer table, and
+an optional optimizer section (JSON frame with step/hyper/meta plus the
+moment table).  Frames are u32 length prefixes.  A table is a u32 row
+count, then per row a name frame and one ``HCFT`` blob frame per array: one
+for parameters and buffers, two (first then second moment) for the moments,
+which are sorted by name.  Names are unique within a table.  The ``HCFT``
+blobs round-trip float64 payloads bitwise.
 """
 
 from __future__ import annotations

@@ -67,13 +67,7 @@ def build_case(name: str) -> tuple[Callable[[], Tensor], list[tuple[str, Tensor]
         fn = lambda: tsum(mul(block(x, train=True), field))
         targets = [("input", x), *block.named_parameters()]
     elif name == "net":
-        config = NetworkConfig(
-            stages=2,
-            widths=(8, 8),
-            in_channels=1,
-            dropout=0.0,
-            loss_weights=(1.0, 0.5),
-        )
+        config = NetworkConfig(widths=(8, 8), in_channels=1, dropout=0.0)
         network = build_network(config, seed=41)
         gen = np.random.default_rng(42)
         x = Tensor(gen.uniform(0.0, 1.0, (1, 1, 16, 16)), requires_grad=True)

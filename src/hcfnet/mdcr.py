@@ -16,7 +16,9 @@ from .errors import ConfigError, ShapeError
 from .nn import BatchNorm2d, Conv2d, Module, ModuleList
 from .tensor import Tensor, concat, narrow, permute_channels, relu
 
-__all__ = ["MDCR", "head_split", "interleave", "interleave_permutation"]
+DILATIONS = (1, 3, 5, 7)  # HCF-Net's MDCR rates, one per head (arXiv 2403.10778)
+
+__all__ = ["DILATIONS", "MDCR", "head_split", "interleave", "interleave_permutation"]
 
 
 def head_split(x: Tensor) -> list[Tensor]:
@@ -59,7 +61,7 @@ class MDCR(Module):
     def __init__(
         self,
         channels: int,
-        dilations: tuple[int, int, int, int] = (1, 3, 5, 7),
+        dilations: tuple[int, int, int, int] = DILATIONS,
         *,
         rng: np.random.Generator,
     ):

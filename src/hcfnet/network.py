@@ -10,7 +10,7 @@ input resolution, finest scale first.
 
 from __future__ import annotations
 
-import sys
+import json
 import typing
 from dataclasses import asdict, dataclass
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .dasi import DASI
 from .errors import ConfigError, ShapeError
-from .mdcr import MDCR
+from .mdcr import DILATIONS, MDCR
 from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, Module, ModuleList
 from .ops import bilinear_resize, max_pool2d
 from .ppa import PPA
@@ -29,16 +29,23 @@ __all__ = ["NetworkConfig", "Network", "DoubleConv", "build_network", "count_par
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    stages: int = 5
     widths: tuple[int, ...] = (16, 32, 64, 128, 256)
     in_channels: int = 1
     patch_sizes: tuple[int, int] = (2, 4)
-    dilations: tuple[int, int, int, int] = (1, 3, 5, 7)
     dropout: float = 0.1
     use_ppa: bool = True
     use_dasi: bool = True
     use_mdcr: bool = True
-    loss_weights: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125, 0.0625)
+
+    @property
+    def stages(self) -> int:
+        """One encoder stage, and one supervised scale, per width."""
+        return len(self.widths)
+
+    @property
+    def loss_weights(self) -> tuple[float, ...]:
+        """Deep-supervision weights, finest scale first, halving at each coarser one."""
+        return tuple(0.5**s for s in range(self.stages))
 
     @property
     def extent_multiple(self) -> int:
@@ -47,48 +54,44 @@ class NetworkConfig:
 
     def validate(self) -> None:
         if self.stages < 2:
-            raise ConfigError(f"stages must be >= 2, got {self.stages}")
-        if len(self.widths) != self.stages:
-            raise ConfigError(
-                f"widths {self.widths} must list one entry per stage ({self.stages})"
-            )
+            raise ConfigError(f"widths must list at least two stages, got {self.widths}")
         if any(w < 4 or w % 4 for w in self.widths):
             raise ConfigError(f"stage widths must be positive multiples of 4, got {self.widths}")
         if self.in_channels < 1:
             raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if len(self.patch_sizes) != 2 or any(p < 1 for p in self.patch_sizes):
             raise ConfigError(f"patch_sizes must be two positive ints, got {self.patch_sizes}")
-        if len(self.dilations) != 4 or any(d < 1 for d in self.dilations):
-            raise ConfigError(f"dilations must be four positive ints, got {self.dilations}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if len(self.loss_weights) != self.stages:
-            raise ConfigError(
-                f"loss_weights needs one weight per scale ({self.stages}), "
-                f"got {len(self.loss_weights)}"
-            )
-        if not all(0 < w <= sys.float_info.max for w in self.loss_weights):  # no NaN or inf
-            raise ConfigError(f"loss_weights must be finite and positive, got {self.loss_weights}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, the values they derive and the fixed MDCR dilations,
+        which checkpoints keep naming."""
+        derived = {"stages": self.stages, "dilations": DILATIONS, "loss_weights": self.loss_weights}
+        return {**asdict(self), **derived}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkConfig":
-        """Config from ``to_dict`` or its JSON form; each value must match its
-        field's type."""
+        """Config from ``to_dict`` or its JSON form: each field value must match
+        its type, and each derived value given must be, as JSON, the derived one."""
         if not isinstance(raw, dict):
             raise ConfigError(f"network config must be an object, got {type(raw).__name__}")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
+        unknown = raw.keys() - cls().to_dict().keys()
         if unknown:
             raise ConfigError(f"unknown network config keys: {sorted(unknown)}")
         hints = typing.get_type_hints(cls)
-        for key, value in raw.items():
+        fields = {key: value for key, value in raw.items() if key in hints}
+        for key, value in fields.items():
             if not _json_matches(value, hints[key]):
                 declared = cls.__dataclass_fields__[key].type
                 raise ConfigError(f"{key} must be {declared}, got {value!r}")
-        cfg = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
+        cfg = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in fields.items()})
         cfg.validate()
+        derived = cfg.to_dict()
+        for key in sorted(raw.keys() - fields.keys()):
+            want, got = json.dumps(derived[key]), json.dumps(raw[key])
+            if got != want:
+                raise ConfigError(f"{key} must be {want} for this config, got {got}")
         return cfg
 
 
@@ -147,9 +150,7 @@ class Network(Module):
             stage_block(config.in_channels if s == 0 else widths[s - 1], widths[s])
             for s in range(stages)
         )
-        self.bottleneck = (
-            MDCR(widths[-1], config.dilations, rng=rng) if config.use_mdcr else None
-        )
+        self.bottleneck = MDCR(widths[-1], rng=rng) if config.use_mdcr else None
         self.ups = ModuleList(
             ConvTranspose2d(widths[s + 1], widths[s], rng=rng) for s in range(stages - 1)
         )

@@ -212,7 +212,7 @@ class TestCriterion7Ablations:
 
 class TestCriterion8Determinism:
     def test_identical_runs_and_checkpoint_round_trip(self, tmp_path):
-        net_cfg = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        net_cfg = NetworkConfig(widths=(8, 8))
         kwargs = dict(
             epochs=3, batch_size=2, seed=7, synthetic_n=4, synthetic_seed=1, image_size=16
         )

@@ -26,16 +26,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # One non-default spelling and its parsed value for every config field.
 NON_DEFAULT = {
-    "stages": ("3", 3),
     "widths": ("8, 16,32", (8, 16, 32)),
     "in_channels": ("2", 2),
     "patch_sizes": ("3,5", (3, 5)),
-    "dilations": ("1,2,3,4", (1, 2, 3, 4)),
     "dropout": ("0.25", 0.25),
     "use_ppa": ("no", False),
     "use_dasi": ("OFF", False),
     "use_mdcr": ("0", False),
-    "loss_weights": ("1,0.5,0.25", (1.0, 0.5, 0.25)),
     "epochs": ("3", 3),
     "batch_size": ("2", 2),
     "lr": ("0.01", 0.01),
@@ -99,9 +96,7 @@ class TestConfigMapping:
     def test_full_mapping(self):
         net, tr = configs_from_mapping(
             {
-                "stages": "2",
                 "widths": "8,8",
-                "loss_weights": "1.0,0.5",
                 "use_mdcr": "false",
                 "dropout": "0.0",
                 "epochs": "3",
@@ -136,6 +131,12 @@ class TestConfigMapping:
         assert len(pairs) >= 5
         configs_from_mapping(pairs)
 
+    def test_readme_lists_every_config_key(self):
+        text = " ".join(README.read_text().split())
+        count, listed = re.search(r"The (\d+) keys are (.*?) for training\.", text).groups()
+        fields = [f.name for f in dataclasses.fields(NetworkConfig) + dataclasses.fields(TrainConfig)]
+        assert re.findall(r"`(\w+)`", listed) == fields and int(count) == len(fields)
+
     def test_defaults_when_empty(self):
         net, tr = configs_from_mapping({})
         assert net == NetworkConfig()
@@ -156,7 +157,7 @@ class TestConfigMapping:
 
     def test_invalid_config_values_rejected(self):
         with pytest.raises(ConfigError):
-            configs_from_mapping({"stages": "2", "widths": "8,8,8"})
+            configs_from_mapping({"widths": "8"})
 
     @given(config_files)
     def test_arbitrary_file_loads_or_fails_closed(self, fuzz_path, blob):
@@ -177,9 +178,7 @@ class TestConfigMapping:
 
 
 TOY_CONFIG = """
-stages = 2
 widths = 8,8
-loss_weights = 1.0,0.5
 dropout = 0.1
 epochs = 2
 batch_size = 2
@@ -248,7 +247,7 @@ class TestCliTrainEvalInfer:
 
     def test_infer_zero_width_image_is_io_error(self, tmp_path, capsys):
         ckpt = tmp_path / "toy.ckpt"
-        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        config = NetworkConfig(widths=(8, 8))
         save_checkpoint(str(ckpt), build_network(config, seed=0))
         image = tmp_path / "empty.pgm"
         image.write_bytes(b"P5\n0 4\n255\n")
@@ -260,7 +259,7 @@ class TestCliTrainEvalInfer:
     def test_infer_scales_by_maxval(self, tmp_path, capsys):
         # v / 15 and 17 v / 255 are the same quotient, so they round alike.
         ckpt = tmp_path / "toy.ckpt"
-        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        config = NetworkConfig(widths=(8, 8))
         save_checkpoint(str(ckpt), build_network(config, seed=0))
         values = np.random.default_rng(0).integers(0, 16, size=(16, 16), dtype=np.uint8)
         (tmp_path / "low.pgm").write_bytes(b"P5\n16 16\n15\n" + values.tobytes())
@@ -276,7 +275,7 @@ class TestCliTrainEvalInfer:
 
     def test_eval_extent_mismatch_is_io_error(self, tmp_path, capsys):
         ckpt = tmp_path / "toy.ckpt"
-        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        config = NetworkConfig(widths=(8, 8))
         save_checkpoint(str(ckpt), build_network(config, seed=0))
         data_dir = tmp_path / "data"
         data_dir.mkdir()
@@ -288,7 +287,7 @@ class TestCliTrainEvalInfer:
 
     def test_eval_mixed_extents_scores_each_at_its_own(self, tmp_path, capsys):
         ckpt = tmp_path / "toy.ckpt"
-        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        config = NetworkConfig(widths=(8, 8))
         save_checkpoint(str(ckpt), build_network(config, seed=0))
         data_dir = tmp_path / "data"
         data_dir.mkdir()
@@ -313,7 +312,7 @@ class TestCliTrainEvalInfer:
 
     def test_eval_pads_like_infer(self, tmp_path, capsys):
         ckpt = tmp_path / "toy.ckpt"
-        config = NetworkConfig(stages=3, widths=(8, 8, 8), loss_weights=(1.0, 0.5, 0.25))
+        config = NetworkConfig(widths=(8, 8, 8))
         save_checkpoint(str(ckpt), build_network(config, seed=0))
         data_dir = tmp_path / "data"
         data_dir.mkdir()
@@ -334,7 +333,7 @@ class TestCliTrainEvalInfer:
 
     def test_infer_refuses_to_overwrite_dataset_mask(self, tmp_path, capsys, monkeypatch):
         ckpt = tmp_path / "toy.ckpt"
-        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        config = NetworkConfig(widths=(8, 8))
         save_checkpoint(str(ckpt), build_network(config, seed=0))
         data_dir = tmp_path / "data"
         main(["gen-data", "--out", str(data_dir), "--n", "1", "--size", "32"])
@@ -365,6 +364,17 @@ class TestCliTrainEvalInfer:
         for name in (f"{stem}_prob.pgm", f"{stem}_mask.pgm"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_widths_alone_set_the_depth(self, tmp_path, capsys, command):
+        # The stage count and the loss weights follow from widths.
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text("widths = 8,8,8\nepochs = 1\nsynthetic_n = 2\nimage_size = 16\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        last = "epoch=1 " if command == "train" else "params="
+        assert captured.out.splitlines()[-1].startswith(last)
+
 
 class TestCliReportAndGradcheck:
     def test_report_prints_totals(self, toy_config, capsys):
@@ -374,7 +384,7 @@ class TestCliReportAndGradcheck:
         match = re.match(r"^params=(\d+) macs=(\d+)$", out[-1])
         assert match is not None
         net = build_network(
-            NetworkConfig(stages=2, widths=(8, 8), dropout=0.1, loss_weights=(1.0, 0.5)),
+            NetworkConfig(widths=(8, 8), dropout=0.1),
             seed=0,
         )
         assert int(match.group(1)) == net.param_count()
@@ -440,9 +450,12 @@ class TestCliExitCodes:
         assert main(["train", "--config", str(cfg)]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "threshold"])
+    @pytest.mark.parametrize(
+        "key", ["beta1", "beta2", "eps", "threshold", "stages", "dilations", "loss_weights"]
+    )
     def test_fixed_training_constant_is_unknown_key(self, tmp_path, capsys, key):
-        # Adam's betas and eps and the train-IoU threshold are not settable.
+        # Adam's betas and eps, the train-IoU threshold and the values the
+        # network derives from its widths (or fixes) are not settable.
         cfg = tmp_path / "fixed.cfg"
         cfg.write_text(TOY_CONFIG + f"{key} = 0.5\n")
         assert main(["train", "--config", str(cfg)]) == 1
@@ -465,10 +478,13 @@ class TestCliExitCodes:
             ("use_ppa", "no"),
             ("stages", 1),
             ("dropout", 2),
+            ("stages", 3),
+            ("loss_weights", [1.0, 1.0]),
+            ("dilations", [1, 2, 3, 4]),
         ],
     )
     def test_mistyped_checkpoint_config_is_io_error(self, tmp_path, capsys, field, value):
-        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        config = NetworkConfig(widths=(8, 8))
         good = tmp_path / "good.ckpt"
         save_checkpoint(str(good), build_network(config, seed=0))
         blob = good.read_bytes()
@@ -509,7 +525,7 @@ class TestCliExitCodes:
         ],
     )
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, case):
-        config = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        config = NetworkConfig(widths=(8, 8))
         network = build_network(config, seed=0)
         state = Adam(list(network.named_parameters())).state_dict()
         bare, full = tmp_path / "bare.ckpt", tmp_path / "full.ckpt"
@@ -632,7 +648,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "line",
-        ["seed = -1", "synthetic_seed = -3", "loss_weights = nan,0.5"],
+        ["seed = -1", "synthetic_seed = -3"],
     )
     def test_bad_config_value_is_contract_error(self, toy_config, capsys, line):
         cfg, ckpt = toy_config

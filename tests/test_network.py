@@ -3,6 +3,7 @@ forward contracts, parameter/MAC accounting and checkpoint persistence."""
 
 import functools
 import hashlib
+import json
 import struct
 import tempfile
 import tracemalloc
@@ -36,15 +37,8 @@ def rng(seed):
     return np.random.default_rng(seed)
 
 
-TOY_FULL = NetworkConfig(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
-TOY_BASE = NetworkConfig(
-    stages=2,
-    widths=(4, 8),
-    use_ppa=False,
-    use_dasi=False,
-    use_mdcr=False,
-    loss_weights=(1.0, 0.5),
-)
+TOY_FULL = NetworkConfig(widths=(8, 8))
+TOY_BASE = NetworkConfig(widths=(4, 8), use_ppa=False, use_dasi=False, use_mdcr=False)
 
 
 class TestNetworkConfig:
@@ -54,29 +48,30 @@ class TestNetworkConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"stages": 1, "widths": (8,), "loss_weights": (1.0,)},
-            {"widths": (16, 32, 64, 128)},
+            {"widths": (8,)},
+            {"widths": ()},
             {"widths": (16, 32, 64, 128, 250)},
             {"widths": (16, 32, 64, 128, 0)},
             {"in_channels": 0},
             {"dropout": 1.0},
             {"dropout": -0.1},
+            {"dropout": float("nan")},
+            {"dropout": float("inf")},
             {"patch_sizes": (2,)},
             {"patch_sizes": (0, 4)},
-            {"dilations": (1, 3, 5)},
-            {"dilations": (1, 3, 5, 0)},
-            {"loss_weights": (1.0, 0.5)},
-            {"loss_weights": (1.0, 0.5, 0.25, 0.125, 0.0)},
-            {"loss_weights": (1.0, 0.5, 0.25, 0.125, float("nan"))},
-            {"loss_weights": (1.0, 0.5, 0.25, 0.125, float("inf"))},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             NetworkConfig(**kwargs).validate()
 
+    def test_derived_values(self):
+        # Criterion 4 pins this halving series as the deep-supervision weights.
+        assert NetworkConfig().loss_weights == (1.0, 0.5, 0.25, 0.125, 0.0625)
+        assert NetworkConfig(widths=(8, 16, 16)).stages == 3
+
     def test_dict_round_trip(self):
-        cfg = NetworkConfig(stages=3, widths=(8, 16, 32), loss_weights=(1.0, 0.5, 0.25))
+        cfg = NetworkConfig(widths=(8, 16, 32))
         assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_rejected(self):
@@ -247,9 +242,7 @@ def double_conv_params(in_c, c):
 # Counts from the hand-written per-module MAC formulas that the probe
 # forward replaced: (config, height, width, params, macs, rows).
 ABLATED = NetworkConfig(use_ppa=False, use_dasi=False, use_mdcr=False)
-THREE_STAGE = NetworkConfig(
-    stages=3, widths=(8, 16, 16), in_channels=2, patch_sizes=(3, 5), loss_weights=(1.0, 0.5, 0.25)
-)
+THREE_STAGE = NetworkConfig(widths=(8, 16, 16), in_channels=2, patch_sizes=(3, 5))
 PINNED_REPORTS = [
     (
         NetworkConfig(), 64, 64, 3763070, 326455744,
@@ -416,7 +409,7 @@ class TestCounting:
         assert sum(r[1] for r in rows) == params
 
     def test_ablations_strictly_increase_params(self):
-        base = dict(stages=2, widths=(8, 8), loss_weights=(1.0, 0.5))
+        base = dict(widths=(8, 8))
         counts = [
             build_network(
                 NetworkConfig(use_ppa=a, use_dasi=b, use_mdcr=c, **base), seed=25
@@ -638,8 +631,18 @@ class TestCheckpoint:
             save_checkpoint(str(path), build_network(TOY_FULL, seed=0), meta={"epoch": 1})
         assert not path.exists()
 
+    def test_frame_names_derived_values(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(str(path), build_network(TOY_FULL, seed=0))
+        blob = path.read_bytes()
+        (length,) = struct.unpack_from("<I", blob, 8)
+        frame = json.loads(blob[12 : 12 + length])
+        assert (frame["stages"], frame["dilations"], frame["loss_weights"]) == (
+            2, [1, 3, 5, 7], [1.0, 0.5]
+        )
+
     def test_int_in_float_field_restores(self, tmp_path):
-        config = NetworkConfig(stages=2, widths=(8, 8), dropout=0, loss_weights=(1, 0.5))
+        config = NetworkConfig(widths=(8, 8), dropout=0)
         path = str(tmp_path / "net.ckpt")
         save_checkpoint(path, build_network(config, seed=36))
         _, snapshot = restore_network(path)

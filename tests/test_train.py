@@ -21,7 +21,7 @@ from hcfnet.train import (
     train,
 )
 
-TOY_NET = NetworkConfig(stages=2, widths=(8, 8), dropout=0.1, loss_weights=(1.0, 0.5))
+TOY_NET = NetworkConfig(widths=(8, 8), dropout=0.1)
 
 
 def toy_train(**overrides):
@@ -102,7 +102,7 @@ class TestTrainLoop:
             train(TOY_NET, toy_train(data_dir=str(tmp_path)))
 
     def test_indivisible_samples_rejected(self, tmp_path):
-        cfg = NetworkConfig(stages=3, widths=(8, 8, 8), loss_weights=(1.0, 0.5, 0.25))
+        cfg = NetworkConfig(widths=(8, 8, 8))
         samples = generate_dataset(SyntheticConfig(height=18, width=18, seed=0), 2)
         save_dataset(samples, str(tmp_path))
         with pytest.raises(ConfigError, match="divisible"):
@@ -175,7 +175,7 @@ class TestCheckpointing:
     def test_resume_rejects_config_mismatch(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
         train(TOY_NET, toy_train(checkpoint_path=path))
-        other = NetworkConfig(stages=2, widths=(8, 8), dropout=0.0, loss_weights=(1.0, 0.5))
+        other = NetworkConfig(widths=(8, 8), dropout=0.0)
         with pytest.raises(ConfigError):
             train(other, toy_train(epochs=3, resume_from=path))
 
@@ -234,7 +234,7 @@ class TestEvaluateAndInfer:
         )
 
     def test_predict_probs_keeps_each_extent(self):
-        config = NetworkConfig(stages=3, widths=(8, 8, 8), loss_weights=(1.0, 0.5, 0.25))
+        config = NetworkConfig(widths=(8, 8, 8))
         net = build_network(config, seed=6)
         rng = np.random.default_rng(8)
         images = [rng.uniform(size=(1, n, n)) for n in (30, 30, 32, 30)]
